@@ -21,9 +21,9 @@ layout:
   directly.
 
 Streaming ingest (:meth:`ColumnarGraph.ingest_ntriples`) parses one
-N-Triples line at a time, encodes it and lets the term objects go, so peak
-memory during a load is one open segment plus the dictionary — never the
-decoded triple list.
+N-Triples line at a time, encodes it and lets the triple go, so peak memory
+during a load is one open segment plus the dictionary and the tokeniser's
+per-call term memo — never the decoded triple list.
 
 Everything above the store (validators, partitioners, the change journal)
 works on this class unchanged because the mutation bookkeeping, batch
@@ -268,9 +268,10 @@ class ColumnarGraph(TripleStore):
         self._invalidate_key(row[0])
         return self
 
-    def _invalidate_key(self, key: int) -> None:
-        self._neigh_any.pop(key, None)
-        super()._invalidate_key(key)
+    def _invalidate_keys(self, keys: Iterable[int], mutations: int) -> None:
+        for key in keys:
+            self._neigh_any.pop(key, None)
+        super()._invalidate_keys(keys, mutations)
 
     def clear(self) -> None:
         """Remove every triple (the dictionary keeps its interned terms)."""
@@ -559,8 +560,10 @@ class ColumnarGraph(TripleStore):
 
         ``lines`` may be an open file handle or any lazy line source.  Each
         line is parsed, encoded and released: peak memory is one open tail
-        (≤ ``segment_size`` id rows) plus the term dictionary — the decoded
-        triple list never exists.
+        (≤ ``segment_size`` id rows), the term dictionary and the
+        tokeniser's per-call memo (one entry per distinct term, keyed by its
+        token text, dropped when the load ends) — the decoded triple list
+        never exists.
         """
         from .ntriples import iter_ntriples_lines
 

@@ -192,19 +192,27 @@ class TripleStore:
 
     # --------------------------------------------------- mutation bookkeeping
     def _invalidate_key(self, key: object) -> None:
+        self._invalidate_keys((key,), 1)
+
+    def _invalidate_keys(self, keys: Iterable[object], mutations: int) -> None:
+        """Bookkeeping for ``mutations`` effective changes touching ``keys``
+        (each key once)."""
         # the cache pop is unconditional so reads *inside* a batch still see
-        # current triples; only the generation bump and the journal record
-        # are coalesced to the end of the batch.
-        self._neigh_sets.pop(key, None)
-        self._neigh_ordered.pop(key, None)
+        # current triples; only the journal record is coalesced to the end
+        # of the batch.
+        neigh_sets, neigh_ordered = self._neigh_sets, self._neigh_ordered
+        for key in keys:
+            neigh_sets.pop(key, None)
+            neigh_ordered.pop(key, None)
         # the generation counts every effective mutation, batch or not: an
         # integer bump is nearly free, and anything derived from the graph
         # (snapshots, shared contexts) stays stale-detectable even mid-batch.
-        self._generation += 1
+        self._generation += mutations
         if self._batch_depth:
-            self._batch_dirty.add(key)
+            self._batch_dirty.update(keys)
         else:
-            self._journal.record(key, self._generation)
+            for key in keys:
+                self._journal.record(key, self._generation)
 
     @property
     def generation(self) -> int:
@@ -292,13 +300,13 @@ class TripleStore:
 
     def add_all(self, triples: Iterable[Triple]) -> "TripleStore":
         """Add every triple inside one batch (one journal record per touched
-        subject).  Returns ``self``."""
-        # materialise first: the natural call sites hand in live generators
-        # over this very graph (``graph.add_all(other.triples(...))`` where
-        # ``other is graph``), which would otherwise mutate the indexes
-        # they are iterating.
+        subject).  Returns ``self``.
+
+        All or nothing on bad input: a non-:class:`Triple` anywhere in
+        ``triples`` raises :class:`GraphError` before anything is added.
+        """
         with self.batch():
-            for triple in list(triples):
+            for triple in _checked_triples(triples):
                 self.add(triple)
         return self
 
@@ -478,6 +486,22 @@ class TripleStore:
         raise GraphError(f"unknown serialisation format: {format!r}")
 
 
+def _checked_triples(triples: Iterable[Triple]) -> List[Triple]:
+    """``triples`` as a list, type-checked before the caller mutates anything.
+
+    Materialising first also matters on its own: the natural call sites hand
+    in live generators over this very graph (``graph.add_all(other.triples(
+    ...))`` where ``other is graph``), which would otherwise mutate the
+    indexes they are iterating.
+    """
+    triples = list(triples)
+    for triple in triples:
+        if not isinstance(triple, Triple):
+            raise GraphError(
+                f"can only add Triple instances, got {type(triple).__name__}")
+    return triples
+
+
 class Graph(TripleStore):
     """A set of RDF triples with pattern-matching indexes.
 
@@ -537,15 +561,38 @@ class Graph(TripleStore):
         """Add a triple (the ``t ∘ ts`` operation).  Returns ``self``."""
         if not isinstance(triple, Triple):
             raise GraphError(f"can only add Triple instances, got {type(triple).__name__}")
-        if triple in self._triples:
-            return self
-        self._triples.add(triple)
-        s, p, o = triple.subject, triple.predicate, triple.object
-        self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
-        self._invalidate_neighbourhood(s)
+        self._insert((triple,))
         return self
+
+    def add_all(self, triples: Iterable[Triple]) -> "Graph":
+        """Add every triple with one bookkeeping pass.  Returns ``self``.
+
+        Same contract as :meth:`TripleStore.add_all` — all or nothing on
+        bad input, one journal record per touched subject — but the indexes
+        are updated in a single loop, and cached neighbourhoods are dropped
+        once per touched subject instead of once per triple.
+        """
+        self._insert(_checked_triples(triples))
+        return self
+
+    def _insert(self, triples: Iterable[Triple]) -> None:
+        """Index every triple not yet present (the one index-update body)."""
+        present = self._triples
+        spo, pos, osp = self._spo, self._pos, self._osp
+        touched: Dict[SubjectTerm, None] = {}
+        before = len(present)
+        for triple in triples:
+            size = len(present)
+            present.add(triple)
+            if len(present) == size:
+                continue
+            s, p, o = triple
+            spo[s][p].add(o)
+            pos[p][o].add(s)
+            osp[o][s].add(p)
+            touched[s] = None
+        if touched:
+            self._invalidate_keys(touched, len(present) - before)
 
     def discard(self, triple: Triple) -> "Graph":
         """Remove ``triple`` if present.  Returns ``self``."""
@@ -568,7 +615,7 @@ class Graph(TripleStore):
             del self._osp[o][s]
             if not self._osp[o]:
                 del self._osp[o]
-        self._invalidate_neighbourhood(s)
+        self._invalidate_key(s)
         return self
 
     def clear(self) -> None:
@@ -584,9 +631,6 @@ class Graph(TripleStore):
         # journal honestly forgets and answers None for earlier generations.
         self._journal.truncate(self._generation)
         self._batch_dirty.clear()
-
-    def _invalidate_neighbourhood(self, subject: SubjectTerm) -> None:
-        self._invalidate_key(subject)
 
     # ---------------------------------------------------------------- querying
     def triples(

@@ -8,11 +8,12 @@ the building block of the Turtle serialiser's escaping rules.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 from .errors import ParseError
 from .graph import Graph
-from .terms import BNode, IRI, Literal, ObjectTerm, SubjectTerm, Triple
+from .terms import (BNode, IRI, Literal, ObjectTerm, SubjectTerm, Triple,
+                    escape_string, unchecked_triple)
 
 __all__ = [
     "parse_ntriples",
@@ -29,10 +30,12 @@ _BNODE = r"_:([A-Za-z0-9][A-Za-z0-9_.-]*)"
 _STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
 _LANGTAG = r"@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)"
 
-_SUBJECT_RE = re.compile(rf"\s*(?:{_IRIREF}|{_BNODE})")
-_PREDICATE_RE = re.compile(rf"\s*{_IRIREF}")
+# group 1 of each position pattern is the whole token (leading whitespace
+# excluded): the key of the per-call term memo in ``iter_ntriples_lines``.
+_SUBJECT_RE = re.compile(rf"\s*({_IRIREF}|{_BNODE})")
+_PREDICATE_RE = re.compile(rf"\s*({_IRIREF})")
 _OBJECT_RE = re.compile(
-    rf"\s*(?:{_IRIREF}|{_BNODE}|{_STRING}(?:{_LANGTAG}|\^\^{_IRIREF})?)"
+    rf"\s*({_IRIREF}|{_BNODE}|{_STRING}(?:{_LANGTAG}|\^\^{_IRIREF})?)"
 )
 _END_RE = re.compile(r"\s*\.\s*(#.*)?$")
 
@@ -50,6 +53,8 @@ _ESCAPE_SEQUENCES = {
 
 def unescape_string(value: str) -> str:
     """Resolve ``\\n``, ``\\t``, ``\\uXXXX`` and ``\\UXXXXXXXX`` escapes."""
+    if "\\" not in value:
+        return value
     out = []
     i = 0
     n = len(value)
@@ -82,30 +87,11 @@ def unescape_string(value: str) -> str:
     return "".join(out)
 
 
-def escape_string(value: str) -> str:
-    """Escape a literal lexical form for N-Triples output."""
-    out = []
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _parse_subject(line: str, pos: int, lineno: int) -> tuple[SubjectTerm, int]:
     match = _SUBJECT_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI or blank node as subject", lineno, pos)
-    iri, bnode = match.group(1), match.group(2)
+    iri, bnode = match.group(2), match.group(3)
     term: SubjectTerm = IRI(unescape_string(iri)) if iri is not None else BNode(bnode)
     return term, match.end()
 
@@ -114,16 +100,14 @@ def _parse_predicate(line: str, pos: int, lineno: int) -> tuple[IRI, int]:
     match = _PREDICATE_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI as predicate", lineno, pos)
-    return IRI(unescape_string(match.group(1))), match.end()
+    return IRI(unescape_string(match.group(2))), match.end()
 
 
 def _parse_object(line: str, pos: int, lineno: int) -> tuple[ObjectTerm, int]:
     match = _OBJECT_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI, blank node or literal as object", lineno, pos)
-    iri, bnode, string, lang, dtype = (
-        match.group(1), match.group(2), match.group(3), match.group(4), match.group(5),
-    )
+    iri, bnode, string, lang, dtype = match.group(2, 3, 4, 5, 6)
     term: ObjectTerm
     if iri is not None:
         term = IRI(unescape_string(iri))
@@ -155,25 +139,52 @@ def parse_term(text: str) -> ObjectTerm:
     return term
 
 
+def _memo_term(memo: Dict[str, ObjectTerm], pattern: re.Pattern[str],
+               parse: Callable[[str, int, int], Tuple[ObjectTerm, int]],
+               line: str, pos: int, lineno: int) -> Tuple[ObjectTerm, int]:
+    """The term at ``pos``, built by ``parse`` the first time its token text
+    is seen and reused from ``memo`` afterwards."""
+    match = pattern.match(line, pos)
+    if match is None:
+        # the validating path raises the positioned ParseError
+        return parse(line, pos, lineno)
+    token = match.group(1)
+    term = memo.get(token)
+    if term is None:
+        term = memo[token] = parse(line, pos, lineno)[0]
+    return term, match.end()
+
+
 def iter_ntriples_lines(lines: Iterable[str]) -> Iterator[Triple]:
     """Yield triples from an iterable of N-Triples lines, one at a time.
 
     This is the streaming entry point: ``lines`` can be an open file handle
-    or any other lazy line source, and only the line currently being parsed
-    is held in memory.  The columnar store's segment-bounded ingest path
-    feeds on this, encoding each yielded triple into integer ids and letting
-    the term objects go.
+    or any other lazy line source.  The columnar store's segment-bounded
+    ingest path feeds on this, encoding each yielded triple into integer ids
+    and letting the triples go.
+
+    Terms are interned per call: each distinct token text goes through the
+    validating ``_parse_*`` path once, and every repeat reuses that term
+    object.  Besides the current line, memory holds that memo — one entry
+    per distinct term (which either store keeps anyway) keyed by its token
+    text — until the iteration ends.  The position patterns fix each term's
+    kind (a subject token is never a literal, a predicate token always an
+    IRI), so triples skip the :class:`Triple` constructor's checks.
     """
+    memo: Dict[str, ObjectTerm] = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        subject, pos = _parse_subject(raw_line, 0, lineno)
-        predicate, pos = _parse_predicate(raw_line, pos, lineno)
-        obj, pos = _parse_object(raw_line, pos, lineno)
+        subject, pos = _memo_term(memo, _SUBJECT_RE, _parse_subject,
+                                  raw_line, 0, lineno)
+        predicate, pos = _memo_term(memo, _PREDICATE_RE, _parse_predicate,
+                                    raw_line, pos, lineno)
+        obj, pos = _memo_term(memo, _OBJECT_RE, _parse_object,
+                              raw_line, pos, lineno)
         if not _END_RE.match(raw_line, pos):
             raise ParseError("expected '.' at end of triple", lineno, pos)
-        yield Triple(subject, predicate, obj)
+        yield unchecked_triple(subject, predicate, obj)
 
 
 def iter_ntriples(data: str) -> Iterator[Triple]:
@@ -191,26 +202,5 @@ def parse_ntriples(data: str) -> Graph:
 def serialize_ntriples(graph: Graph, sort: bool = True) -> str:
     """Serialise ``graph`` as N-Triples (one canonical line per triple)."""
     triples = graph.sorted_triples() if sort else list(graph)
-    lines = []
-    for triple in triples:
-        lines.append(_triple_to_ntriples(triple))
+    lines = [triple.n3() for triple in triples]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _term_to_ntriples(term: ObjectTerm) -> str:
-    if isinstance(term, Literal):
-        quoted = f'"{escape_string(term.lexical)}"'
-        if term.lang:
-            return f"{quoted}@{term.lang}"
-        if term.is_plain:
-            return quoted
-        return f"{quoted}^^<{term.datatype.value}>"
-    return term.n3()
-
-
-def _triple_to_ntriples(triple: Triple) -> str:
-    return (
-        f"{_term_to_ntriples(triple.subject)} "
-        f"{_term_to_ntriples(triple.predicate)} "
-        f"{_term_to_ntriples(triple.object)} ."
-    )

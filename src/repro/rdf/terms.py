@@ -31,6 +31,7 @@ __all__ = [
     "is_subject_term",
     "is_predicate_term",
     "is_object_term",
+    "escape_string",
 ]
 
 _IRI_ILLEGAL = re.compile(r"[\x00-\x20<>\"{}|^`\\]")
@@ -198,20 +199,18 @@ class BNode(Term):
         return (self._sort_rank, self.id)
 
 
-_ESCAPES = {
+_ESCAPES = str.maketrans({
     "\\": "\\\\",
     '"': '\\"',
     "\n": "\\n",
     "\r": "\\r",
     "\t": "\\t",
-}
+})
 
 
-def _escape_literal(value: str) -> str:
-    out = []
-    for ch in value:
-        out.append(_ESCAPES.get(ch, ch))
-    return "".join(out)
+def escape_string(value: str) -> str:
+    """Escape a literal lexical form for N-Triples / Turtle output."""
+    return value.translate(_ESCAPES)
 
 
 class Literal(Term):
@@ -299,7 +298,7 @@ class Literal(Term):
         return self.lexical
 
     def n3(self) -> str:
-        quoted = f'"{_escape_literal(self.lexical)}"'
+        quoted = f'"{escape_string(self.lexical)}"'
         if self.lang:
             return f"{quoted}@{self.lang}"
         if self.datatype.value == XSD_STRING:

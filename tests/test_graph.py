@@ -4,6 +4,7 @@ import pytest
 
 from repro.rdf import (
     BNode,
+    ColumnarGraph,
     EX,
     FOAF,
     Graph,
@@ -100,6 +101,93 @@ class TestGraphBasics:
         clone.add(triple("s", "p", 2))
         assert len(graph) == 1
         assert len(clone) == 2
+
+
+class TestBulkAddAll:
+    """``Graph.add_all`` updates the indexes in one loop; its bookkeeping must
+    match what one ``add`` per triple inside a batch used to leave behind."""
+
+    def test_generation_counts_effective_adds_only(self):
+        graph = Graph([triple("a", "p", 1)])
+        start = graph.generation
+        graph.add_all([triple("a", "p", 1),  # already present
+                       triple("a", "p", 2),
+                       triple("a", "p", 2),  # duplicate inside the input
+                       triple("a", "q", 3),
+                       triple("b", "p", 1)])
+        assert graph.generation == start + 3
+        assert len(graph) == 4
+
+    def test_fully_present_input_changes_nothing(self):
+        graph = Graph([triple("a", "p", 1), triple("b", "p", 1)])
+        start, records = graph.generation, graph.journal.records
+        graph.add_all([triple("b", "p", 1), triple("a", "p", 1)])
+        assert graph.generation == start
+        assert graph.journal.records == records
+        assert graph.changes_since(start) == frozenset()
+
+    def test_journal_records_each_touched_subject_once(self):
+        graph = Graph([triple("c", "p", 1)])
+        start, records = graph.generation, graph.journal.records
+        graph.add_all([triple("a", "p", 1), triple("b", "p", 1),
+                       triple("a", "q", 2), triple("a", "p", 3),
+                       triple("c", "p", 1)])
+        assert graph.journal.records == records + 2
+        assert graph.changes_since(start) == {EX.a, EX.b}
+        assert graph.changes_since(graph.generation) == frozenset()
+
+    def test_drops_cached_neighbourhoods_of_touched_subjects_only(self):
+        graph = Graph([triple(s, "p", 1) for s in "abc"])
+        stale = {s: (graph.neighbourhood(EX[s]), graph.neighbourhood_ordered(EX[s]))
+                 for s in "ab"}
+        kept_set = graph.neighbourhood(EX.c)
+        kept_ordered = graph.neighbourhood_ordered(EX.c)
+        graph.add_all([triple("b", "p", 2), triple("a", "p", 2)])
+        for s, (stale_set, stale_ordered) in stale.items():
+            assert graph.neighbourhood(EX[s]) is not stale_set
+            assert triple(s, "p", 2) in graph.neighbourhood(EX[s])
+            assert len(graph.neighbourhood_ordered(EX[s])) == len(stale_ordered) + 1
+        assert graph.neighbourhood(EX.c) is kept_set
+        assert graph.neighbourhood_ordered(EX.c) is kept_ordered
+
+    def test_outer_batch_still_defers_journalling(self):
+        graph = Graph()
+        start, records = graph.generation, graph.journal.records
+        with graph.batch():
+            graph.add_all([triple("a", "p", 1), triple("b", "p", 1)])
+            graph.add_all([triple("a", "p", 2)])
+            assert graph.journal.records == records
+            assert graph.generation == start + 3
+            with pytest.raises(GraphError):
+                graph.changes_since(start)
+        assert graph.journal.records == records + 2
+        assert graph.changes_since(start) == {EX.a, EX.b}
+
+    def test_indexes_match_single_adds(self):
+        triples = [triple("a", "p", 1), triple("a", "q", 2), triple("b", "p", 1),
+                   Triple(EX.b, EX.p, EX.a), triple("a", "p", 1)]
+        bulk = Graph().add_all(triples)
+        single = Graph()
+        for t in triples:
+            single.add(t)
+        for pattern in [(EX.a, None, None), (None, EX.p, None),
+                        (None, None, Literal(1)), (None, EX.p, EX.a),
+                        (EX.b, EX.p, None)]:
+            assert set(bulk.triples(*pattern)) == set(single.triples(*pattern))
+        assert bulk.generation == single.generation
+
+
+@pytest.mark.parametrize("store", [Graph, ColumnarGraph])
+def test_add_all_is_atomic_on_bad_input(store):
+    graph = store([triple("a", "p", 1)])
+    start, records = graph.generation, graph.journal.records
+    with pytest.raises(GraphError):
+        graph.add_all([triple("b", "p", 1), (EX.c, EX.p, Literal(1))])
+    assert len(graph) == 1
+    assert triple("b", "p", 1) not in graph
+    assert graph.generation == start
+    assert graph.journal.records == records
+    assert graph.changes_since(start) == frozenset()
 
 
 class TestPatternQueries:
