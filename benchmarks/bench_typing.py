@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""B10 — typing accretion: persistent HAMT vs the copy-on-write dict baseline.
+"""B10 — ``ShapeTyping`` accretion: persistent HAMT vs a copy-on-write dict.
 
 The Section 8 typing operations (``n → s : τ``, ``τ1 ⊎ τ2``) were originally
 backed by a dict that was fully copied and re-frozen on every ``add``, so
-confirming the ``k`` members of one recursive component cost O(k²) — the
-dominant serial cost of bulk validation at scale.  :class:`ShapeTyping` is
-now backed by a persistent HAMT (``repro/shex/hamt.py``): O(log n) ``add``
-with full structural sharing, and a ``combine`` that skips shared subtries.
+accreting ``k`` associations one ``add`` at a time cost O(k²).
+:class:`ShapeTyping` is backed by a persistent HAMT
+(``repro/shex/hamt.py``): O(log n) ``add`` with full structural sharing, and
+a ``combine`` that skips shared subtries.
 
-This benchmark measures both representations on the same traces:
+This benchmark measures the ``ShapeTyping`` API itself, not the validator.
+A validation context keeps its settled verdicts in plain dicts and builds a
+typing only when one is read, so bulk validation no longer accretes typings
+one ``add`` at a time; the persistent operations measured here are the ones
+callers of the typing API use — incremental report typings
+(``without_nodes`` + ``combine``), extending a match result's typing, and
+user code.  Both representations run on the same traces:
 
-* **confirmation** — ``k`` sequential ``add`` calls, the access pattern of
-  ``ValidationContext.confirm`` when one recursive component settles,
+* **confirmation** — ``k`` sequential ``add`` calls (the trace one
+  recursive component's members would produce),
 * **workload replay** — the conforming ``(node, label)`` trace produced by
   actually validating the single-community recursive workload (the same
   generators ``bench_bulk_validation.py`` / ``bench_parallel_validation.py``
@@ -119,7 +125,7 @@ def _fold_combine_hamt(singletons: Iterable[ShapeTyping]) -> tuple:
 
 
 def run_confirmation(k: int) -> dict:
-    """``k`` members of one component confirmed one ``add`` at a time."""
+    """``k`` members of one component added one ``add`` at a time."""
     label = ShapeLabel("Person")
     trace = [(IRI(f"http://example.org/member{i}"), label) for i in range(k)]
     dict_s, dict_contents = _replay_adds_dict(trace)
@@ -156,8 +162,8 @@ def run_workload_replay(people: int, seed: int) -> dict:
     """Replay the conforming trace of the single-community recursive workload.
 
     One community means the valid members form a single strongly-connected
-    ``foaf:knows`` component — exactly the k-member recursive-component
-    confirmation the HAMT targets — and the trace comes from a real
+    ``foaf:knows`` component — a k-member trace of sequential ``add``
+    calls — and the trace comes from a real
     validation run of the same workload family the bulk and parallel
     benchmarks use.
     """

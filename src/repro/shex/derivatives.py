@@ -26,6 +26,7 @@ The :class:`DerivativeEngine` adds the engineering the paper alludes to:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -45,6 +46,7 @@ from .expressions import (
     alternative,
     expression_size,
     interleave,
+    iter_subexpressions,
 )
 from .node_constraints import ShapeRef
 from .results import MatchResult, MatchStats
@@ -442,10 +444,13 @@ def _derivative_by_verdicts(expr: ShapeExpr, verdicts: Mapping[ArcAtom, bool],
     )
 
 
+@lru_cache(maxsize=4096)
 def _has_references(expr: ShapeExpr) -> bool:
-    """True if ``expr`` contains any ``@label`` arc."""
-    from .expressions import iter_subexpressions
+    """True if ``expr`` contains any ``@label`` arc.
 
+    Memoised per expression: ``match_neighbourhood`` asks on every engine
+    run, and interned expressions hash in O(1).
+    """
     return any(
         isinstance(sub, Arc) and isinstance(sub.object, ShapeRef)
         for sub in iter_subexpressions(expr)

@@ -107,10 +107,12 @@ class _Bitmap:
 
     __slots__ = ("bitmap", "children", "count", "chash")
 
-    def __init__(self, bitmap: int, children: tuple):
+    def __init__(self, bitmap: int, children: tuple,
+                 count: Optional[int] = None):
         self.bitmap = bitmap
         self.children = children
-        self.count = sum(child.count for child in children)
+        self.count = (count if count is not None
+                      else sum(child.count for child in children))
         self.chash: Optional[int] = None
 
 
@@ -214,6 +216,41 @@ def _node_assoc(node, shift: int, khash: int, key: Any, value: Any,
     children = list(node.children)
     children.insert(position, _Leaf(khash, key, value))
     return _Bitmap(node.bitmap | bit, tuple(children))
+
+
+def _node_build(entries: list, shift: int):
+    """The canonical subtrie holding ``entries`` — ``(khash, key, value)``
+    triples with distinct keys whose hashes agree below ``shift``.
+
+    Built bottom-up in one pass, it is the exact trie a fold of ``assoc``
+    yields for the same key set: a lone entry is a leaf, entries sharing one
+    full hash form a sorted collision bucket, and anything else is a bitmap
+    node over the entries' hash indexes at this level — with a single
+    bitmap child where they all share the index, which is the chain
+    ``_pair_nodes`` lays down for a shared hash prefix.
+    """
+    if len(entries) == 1:
+        khash, key, value = entries[0]
+        return _Leaf(khash, key, value)
+    buckets: dict = {}
+    for entry in entries:
+        index = (entry[0] >> shift) & _LEVEL_MASK
+        bucket = buckets.get(index)
+        if bucket is None:
+            buckets[index] = [entry]
+        else:
+            bucket.append(entry)
+    if len(buckets) == 1:
+        khash = entries[0][0]
+        if all(entry[0] == khash for entry in entries):
+            return _collision_from(khash, [(key, value)
+                                           for _, key, value in entries])
+    bitmap = 0
+    for index in buckets:
+        bitmap |= 1 << index
+    children = tuple(_node_build(buckets[index], shift + _BITS)
+                     for index in sorted(buckets))
+    return _Bitmap(bitmap, children, len(entries))
 
 
 def _node_dissoc(node, shift: int, khash: int, key: Any):
@@ -464,10 +501,21 @@ class HamtMap:
 
     @classmethod
     def from_items(cls, items) -> "HamtMap":
-        mapping = _EMPTY_MAP
-        for key, value in items:
-            mapping = mapping.assoc(key, value)
-        return mapping
+        """Build a map from ``(key, value)`` pairs; the last value of a
+        repeated key wins, as in a fold of ``assoc``.
+
+        One bottom-up pass (:func:`_node_build`) instead of one persistent
+        ``assoc`` per pair, with no intermediate nodes: the trie is the same
+        canonical one the fold would build, so equality, hashing and
+        iteration order cannot tell the two apart.
+        """
+        # the latest key object is kept along with its value, as assoc does
+        latest = {key: (key, value) for key, value in items}
+        if not latest:
+            return _EMPTY_MAP
+        entries = [(_key_hash(key), key, value)
+                   for key, value in latest.values()]
+        return cls._wrap(_node_build(entries, 0), len(entries))
 
     # -- queries ---------------------------------------------------------------
     def get(self, key: Any, default: Any = None) -> Any:

@@ -10,7 +10,7 @@ used by the benchmarks to explain *why* one engine is faster than the other
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .typing import ShapeTyping
 
@@ -174,36 +174,82 @@ class MatchStats:
         }
 
 
-@dataclass
 class MatchResult:
-    """The outcome of matching one neighbourhood against one expression."""
+    """The outcome of matching one neighbourhood against one expression.
 
-    matched: bool
-    typing: ShapeTyping = field(default_factory=ShapeTyping.empty)
-    stats: MatchStats = field(default_factory=MatchStats)
-    #: human-readable explanation of a failure (empty on success).
-    reason: str = ""
-    #: True when the verdict was forced by resource exhaustion (recursion
-    #: depth budget) rather than derived semantically.  Such outcomes are
-    #: never cached by the validation context: re-validating with a fresh
-    #: budget may well succeed.
-    limit_exceeded: bool = False
+    ``typing`` may be handed over *deferred*, as a zero-argument callable
+    returning the :class:`ShapeTyping`; it is called once, on the first read
+    of ``result.typing``, and the value is kept from then on.  The engines
+    and :meth:`~repro.shex.schema.ValidationContext.check_reference` do
+    this, so a run that only looks at ``matched``, ``reason``, ``stats`` and
+    ``limit_exceeded`` never builds a typing.
+
+    The read rule: a result read right after it was returned shows the
+    typing of that moment.  A result read later shows the context's
+    confirmed verdicts *at read time* — within one run a superset of the
+    earlier value, because confirmations only ever grow until a retraction.
+    Equality, ``repr`` and pickling resolve the typing first, so a pickled
+    result ships the resolved value.
+    """
+
+    __slots__ = ("matched", "_typing", "stats", "reason", "limit_exceeded")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, matched: bool,
+                 typing: "ShapeTyping | Callable[[], ShapeTyping] | None" = None,
+                 stats: Optional[MatchStats] = None,
+                 reason: str = "",
+                 limit_exceeded: bool = False):
+        self.matched = matched
+        self._typing = typing if typing is not None else ShapeTyping.empty()
+        self.stats = stats if stats is not None else MatchStats()
+        #: human-readable explanation of a failure (empty on success).
+        self.reason = reason
+        #: True when the verdict was forced by resource exhaustion (recursion
+        #: depth budget) rather than derived semantically.  Such outcomes are
+        #: never cached by the validation context: re-validating with a fresh
+        #: budget may well succeed.
+        self.limit_exceeded = limit_exceeded
+
+    @property
+    def typing(self) -> ShapeTyping:
+        """The shape typing ``τ`` of the match (resolved on first read)."""
+        typing = self._typing
+        if not isinstance(typing, ShapeTyping):
+            typing = self._typing = typing()
+        return typing
+
+    def _fields(self) -> tuple:
+        return (self.matched, self.typing, self.stats, self.reason,
+                self.limit_exceeded)
 
     def __bool__(self) -> bool:
         return self.matched
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"MatchResult(matched={self.matched!r}, typing={self.typing!r}, "
+                f"stats={self.stats!r}, reason={self.reason!r}, "
+                f"limit_exceeded={self.limit_exceeded!r})")
+
+    def __reduce__(self):
+        return (MatchResult, self._fields())
+
     @classmethod
-    def success(cls, typing: Optional[ShapeTyping] = None,
+    def success(cls, typing: "ShapeTyping | Callable[[], ShapeTyping] | None" = None,
                 stats: Optional[MatchStats] = None) -> "MatchResult":
         """Build a successful result."""
-        return cls(True, typing or ShapeTyping.empty(), stats or MatchStats())
+        return cls(True, typing, stats)
 
     @classmethod
     def failure(cls, reason: str = "", stats: Optional[MatchStats] = None,
                 limit_exceeded: bool = False) -> "MatchResult":
         """Build a failed result with an optional explanation."""
-        return cls(False, ShapeTyping.empty(), stats or MatchStats(), reason,
-                   limit_exceeded)
+        return cls(False, None, stats, reason, limit_exceeded)
 
 
 @dataclass

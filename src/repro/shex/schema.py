@@ -19,6 +19,7 @@ This module provides:
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 from typing import (
     Callable,
@@ -66,6 +67,10 @@ class Schema:
             self._shapes[label] = expr
         if not self._shapes:
             raise SchemaError("a schema needs at least one shape")
+        #: name → the schema's own label object, so resolving a label given
+        #: by name (every service verdict read) constructs nothing.
+        self._labels_by_name: Dict[str, ShapeLabel] = {
+            label.name: label for label in self._shapes}
         if start is not None:
             start = start if isinstance(start, ShapeLabel) else ShapeLabel(start)
             if start not in self._shapes:
@@ -93,6 +98,13 @@ class Schema:
     def labels(self) -> Iterator[ShapeLabel]:
         """Iterate over the labels ``Λ`` in sorted order."""
         return iter(sorted(self._shapes.keys()))
+
+    def resolve_label(self, label: ShapeLabel | str) -> ShapeLabel:
+        """``label`` as a :class:`ShapeLabel` (a defined name resolves to
+        the schema's own label object; any other name to a new label)."""
+        if isinstance(label, ShapeLabel):
+            return label
+        return self._labels_by_name.get(label) or ShapeLabel(label)
 
     def expression(self, label: ShapeLabel | str) -> ShapeExpr:
         """Return ``δ(label)``."""
@@ -200,6 +212,16 @@ _NO_CLASS = object()
 _BUDGET_POISON = -1
 
 
+def _extended_typing(result: MatchResult,
+                    pairs: List[Tuple[ObjectTerm, ShapeLabel]]) -> ShapeTyping:
+    """``result``'s typing plus ``pairs``: the deferred typing of a
+    successful :meth:`ValidationContext.check_reference`."""
+    typing = result.typing
+    for node, label in pairs:
+        typing = typing.add(node, label)
+    return typing
+
+
 class _Frame:
     """Bookkeeping for one in-progress ``check_reference`` activation.
 
@@ -264,9 +286,14 @@ class ValidationContext:
         self._matcher = matcher
         #: hypothesis → depth of the frame that assumed it.
         self._hypotheses: Dict[Tuple[ObjectTerm, ShapeLabel], int] = {}
-        self._confirmed = ShapeTyping.empty()
-        #: refuted verdicts, keyed by node (retraction pops whole nodes).
+        #: settled verdicts, keyed by node (retraction pops whole nodes).
+        #: Plain dicts of sets: the run only ever asks membership questions,
+        #: so the persistent typing is built just when someone reads one.
+        self._confirmed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._failed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
+        #: ``typing`` as last built from ``_confirmed``; ``None`` once a
+        #: confirmation, retraction or seed changed the store since.
+        self._typing: Optional[ShapeTyping] = None
         #: provisionally-validated pair → depths of the active frames whose
         #: hypotheses it rests on (never empty, never containing the poison).
         #: Consultable like a cache *within* the run (the consumer inherits
@@ -325,8 +352,16 @@ class ValidationContext:
     # -- typing bookkeeping -----------------------------------------------------
     @property
     def typing(self) -> ShapeTyping:
-        """The typing confirmed so far (``Γ.typing`` in the paper)."""
-        return self._confirmed
+        """The typing confirmed so far (``Γ.typing`` in the paper).
+
+        Built from the verdict store on first read and cached until the
+        store changes, so reading it twice over an unchanged context returns
+        the same object.
+        """
+        typing = self._typing
+        if typing is None:
+            typing = self._typing = ShapeTyping._from_label_sets(self._confirmed)
+        return typing
 
     def assume(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Add the hypothesis ``node → label`` (the ``Γ{n → l}`` operation)."""
@@ -350,22 +385,41 @@ class ValidationContext:
             self._frames[-1].deps.add(depth)
         return True
 
-    def confirm(self, node: ObjectTerm, label: ShapeLabel) -> None:
+    # The verdict API accepts a label as a ShapeLabel or by name; names are
+    # turned into labels here, at the boundary, so the stores only ever hold
+    # (and are only ever probed with) ShapeLabel objects.
+    def confirm(self, node: ObjectTerm, label: ShapeLabel | str) -> None:
         """Record ``node → label`` as definitely established."""
-        self._confirmed = self._confirmed.add(node, label)
+        label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
+        labels = self._confirmed.get(node)
+        if labels is None:
+            self._confirmed[node] = {label}
+        elif label in labels:
+            return
+        else:
+            labels.add(label)
+        self._typing = None
 
-    def record_failure(self, node: ObjectTerm, label: ShapeLabel) -> None:
+    def record_failure(self, node: ObjectTerm, label: ShapeLabel | str) -> None:
         """Record that ``node`` definitely does not have shape ``label``."""
+        label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
         self._failed.setdefault(node, set()).add(label)
 
-    def is_confirmed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
+    def is_confirmed(self, node: ObjectTerm, label: ShapeLabel | str) -> bool:
         """True if ``node → label`` has already been established."""
-        return self._confirmed.has(node, label)
+        labels = self._confirmed.get(node)
+        if labels is None:
+            return False
+        label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
+        return label in labels
 
-    def is_failed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
+    def is_failed(self, node: ObjectTerm, label: ShapeLabel | str) -> bool:
         """True if ``node → label`` has already been refuted."""
         labels = self._failed.get(node)
-        return labels is not None and label in labels
+        if labels is None:
+            return False
+        label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
+        return label in labels
 
     # -- the retraction protocol --------------------------------------------------
     def retract_nodes(self, nodes: Iterable[ObjectTerm]) -> int:
@@ -398,15 +452,13 @@ class ValidationContext:
         if not node_set:
             return 0
         dropped = 0
-        confirmed = self._confirmed
+        # every store is node-keyed, so retraction costs O(closure) — never a
+        # scan of everything the context has settled.
         for node in node_set:
-            labels = confirmed.labels_for(node)
-            if labels:
-                dropped += len(labels)
-        self._confirmed = confirmed.without_nodes(node_set)
-        # every store below is node-keyed, so retraction costs O(closure) —
-        # never a scan of everything the context has settled.
-        for node in node_set:
+            confirmed_labels = self._confirmed.pop(node, None)
+            if confirmed_labels:
+                dropped += len(confirmed_labels)
+                self._typing = None
             failed_labels = self._failed.pop(node, None)
             if failed_labels:
                 dropped += len(failed_labels)
@@ -435,7 +487,7 @@ class ValidationContext:
         validation is in progress or after an aborted run).
         """
         return {
-            "confirmed": sum(len(labels) for _, labels in self._confirmed.items()),
+            "confirmed": sum(len(labels) for labels in self._confirmed.values()),
             "failed": sum(len(labels) for labels in self._failed.values()),
             "provisional": len(self._provisional),
         }
@@ -458,14 +510,10 @@ class ValidationContext:
         :meth:`settled_verdicts` on the exporting side excludes them by
         construction.
         """
-        confirmed_typing = self._confirmed
         for node, label in confirmed:
-            # persistent adds: O(log n) each with full structural sharing,
-            # instead of materialising an intermediate typing and merging
-            confirmed_typing = confirmed_typing.add(node, label)
-        self._confirmed = confirmed_typing
+            self.confirm(node, label)
         for node, label in failed:
-            self._failed.setdefault(node, set()).add(label)
+            self.record_failure(node, label)
 
     def settled_verdicts(
         self,
@@ -759,20 +807,24 @@ class ValidationContext:
             raise SchemaError("shape references need a schema-aware validation context")
         label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
         self.stats.reference_checks += 1
-        if self.is_confirmed(node, label):
-            return MatchResult.success(ShapeTyping.single(node, label))
-        if self.is_failed(node, label):
+        # results carry their typing deferred (see MatchResult): callers of
+        # this hot path read the verdict, almost never the typing.
+        labels = self._confirmed.get(node)
+        if labels is not None and label in labels:
+            return MatchResult(True, partial(ShapeTyping.single, node, label))
+        labels = self._failed.get(node)
+        if labels is not None and label in labels:
             return MatchResult.failure(f"{node.n3()} already failed shape {label}")
         if self.is_assumed(node, label):
             # coinductive hypothesis: assume the reference holds
-            return MatchResult.success(ShapeTyping.single(node, label))
+            return MatchResult(True, partial(ShapeTyping.single, node, label))
         provisional_deps = self._provisional.get((node, label))
         if provisional_deps is not None:
             # already validated in this run, conditional on in-progress
             # hypotheses: reuse the verdict and inherit every dependency.
             if self._frames:
                 self._frames[-1].deps.update(provisional_deps)
-            return MatchResult.success(ShapeTyping.single(node, label))
+            return MatchResult(True, partial(ShapeTyping.single, node, label))
         if self._depth >= self.max_recursion_depth:
             # budget exhaustion is not a semantic verdict: poison the
             # enclosing frames so nothing derived from it gets cached.
@@ -790,7 +842,7 @@ class ValidationContext:
         decision = self.prefilter_check(node, label)
         if decision is not None:
             if decision.matched:
-                return MatchResult.success(ShapeTyping.single(node, label))
+                return MatchResult(True, partial(ShapeTyping.single, node, label))
             return MatchResult.failure(
                 f"{node.n3()} does not match shape {label}: {decision.reason}"
             )
@@ -821,13 +873,12 @@ class ValidationContext:
             # propagate the dependencies (and any budget poison) outwards.
             self._frames[-1].deps.update(outer_deps)
         if result.matched:
-            typing = result.typing.add(node, label)
+            settled = [(node, label)]
             if definitive:
                 self.confirm(node, label)
                 # this frame's hypothesis just proved out: resolve everything
                 # that was conditional on it.
-                for pending in self._settle_success(frame.depth, set()):
-                    typing = typing.add(*pending)
+                settled.extend(self._settle_success(frame.depth, set()))
             else:
                 self._settle_success(frame.depth, outer_deps)
                 if _BUDGET_POISON not in outer_deps:
@@ -836,7 +887,8 @@ class ValidationContext:
                     self._park_provisional((node, label), set(outer_deps))
                 # else: poisoned by the budget — return the verdict but
                 # cache nothing.
-            return MatchResult(True, typing, result.stats)
+            return MatchResult(True, partial(_extended_typing, result, settled),
+                               result.stats)
         # failure: provisional successes that assumed this frame's
         # hypothesis rested on an assumption that did not prove out.
         self._settle_failure(frame.depth)

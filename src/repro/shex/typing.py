@@ -11,17 +11,18 @@ operations, reproduced here:
 Typings are immutable value objects; adding or combining returns a new
 typing, which keeps backtracking branches independent of each other.  They
 are backed by a persistent HAMT (:mod:`repro.shex.hamt`), so ``add`` is
-O(log n) with full structural sharing — confirming the ``k`` members of one
-recursive component is O(k log k) instead of the O(k²) a copied dict costs —
-and ``combine`` skips subtries the two typings share.  ``hash`` is computed
-once and cached (typings are hashed on hot paths), and equality, repr and
-iteration order are value-based: independent of the order in which
-associations were added.
+O(log n) with full structural sharing — ``k`` sequential adds cost
+O(k log k) instead of the O(k²) a copied dict costs — and ``combine`` skips
+subtries the two typings share.  Typings built from many pairs at once
+(:meth:`ShapeTyping.from_pairs`, a validation context's ``typing``) grow
+their trie in one bottom-up pass instead.  ``hash`` is computed once and
+cached, and equality, repr and iteration order are value-based: independent
+of the order in which associations were added.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
 
 from ..rdf.terms import ObjectTerm
 from .hamt import HamtMap
@@ -36,12 +37,14 @@ class ShapeLabel:
     equals the label produced by the ShExC parser for ``<Person>``.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
             raise ValueError("a shape label needs a non-empty name")
         object.__setattr__(self, "name", name)
+        # labels key every verdict store: hash once, at construction
+        object.__setattr__(self, "_hash", hash(("ShapeLabel", name)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ShapeLabel is immutable")
@@ -57,7 +60,7 @@ class ShapeLabel:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ShapeLabel", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ShapeLabel({self.name!r})"
@@ -89,11 +92,7 @@ def _union_labels(left: FrozenSet[ShapeLabel],
 
 def _rebuild_typing(items: tuple) -> "ShapeTyping":
     """Unpickling entry point (the HAMT regrows under the local hash seed)."""
-    typing = _EMPTY_TYPING
-    mapping = typing._map
-    for node, labels in items:
-        mapping = mapping.assoc(node, labels)
-    return ShapeTyping._from_map(mapping)
+    return ShapeTyping._from_map(HamtMap.from_items(items))
 
 
 class ShapeTyping:
@@ -104,10 +103,10 @@ class ShapeTyping:
     def __init__(self, assignments: Mapping[ObjectTerm, Iterable[ShapeLabel]] | None = None):
         mapping = HamtMap.empty()
         if assignments:
-            for node, labels in assignments.items():
-                label_set = frozenset(_as_label(label) for label in labels)
-                if label_set:
-                    mapping = mapping.assoc(node, label_set)
+            mapping = _label_sets_map(
+                (node, [_as_label(label) for label in labels])
+                for node, labels in assignments.items()
+            )
         object.__setattr__(self, "_map", mapping)
         object.__setattr__(self, "_hash", None)
 
@@ -140,11 +139,26 @@ class ShapeTyping:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[ObjectTerm, "ShapeLabel | str"]]
                    ) -> "ShapeTyping":
-        """Build a typing from ``(node, label)`` pairs in one accretion pass."""
-        typing = _EMPTY_TYPING
+        """Build a typing from ``(node, label)`` pairs in one pass.
+
+        The pairs are grouped per node first, then the trie is built
+        bottom-up in one go (:meth:`HamtMap.from_items`) — the same typing a
+        fold of :meth:`add` gives, without a persistent update per pair.
+        """
+        groups: Dict[ObjectTerm, set] = {}
         for node, label in pairs:
-            typing = typing.add(node, label)
-        return typing
+            labels = groups.get(node)
+            if labels is None:
+                labels = groups[node] = set()
+            labels.add(_as_label(label))
+        return cls._from_label_sets(groups)
+
+    @classmethod
+    def _from_label_sets(cls, groups: Mapping[ObjectTerm, Iterable[ShapeLabel]]
+                         ) -> "ShapeTyping":
+        """Build a typing from ``node → labels`` groups of normalised labels
+        (internal: the report and context typings)."""
+        return cls._from_map(_label_sets_map(groups.items()))
 
     # -- paper operations ---------------------------------------------------
     def add(self, node: ObjectTerm, label: "ShapeLabel | str") -> "ShapeTyping":
@@ -267,13 +281,29 @@ class ShapeTyping:
         }
 
 
-def typing_of(context) -> ShapeTyping:
-    """The confirmed typing of ``context``, or the empty typing without one.
+def _label_sets_map(groups: Iterable[Tuple[ObjectTerm, Iterable[ShapeLabel]]]
+                    ) -> HamtMap:
+    """The HAMT of ``(node, labels)`` groups; nodes without labels are left
+    out, as a typing never maps a node to the empty set."""
+    return HamtMap.from_items(
+        (node, label_set)
+        for node, labels in groups
+        if (label_set := frozenset(labels))
+    )
 
-    Shared by the matching engines, which accept ``context=None`` for bare
-    expression-level matching.
+
+def typing_of(context) -> "ShapeTyping | Callable[[], ShapeTyping]":
+    """The typing a matching engine hands to its :class:`MatchResult`.
+
+    Without a context (bare expression-level matching) that is the empty
+    typing.  With one it is a *deferred* read of ``context.typing``: the
+    result builds it only if someone reads ``result.typing`` (see
+    :class:`~repro.shex.results.MatchResult` for what a later read shows),
+    so a bulk run that only looks at verdicts never materialises a typing.
     """
-    return context.typing if context is not None else _EMPTY_TYPING
+    if context is None:
+        return _EMPTY_TYPING
+    return lambda: context.typing
 
 
 _EMPTY_TYPING = ShapeTyping()

@@ -816,8 +816,10 @@ class Validator:
         (:meth:`ValidationContext.retract_nodes`), and only the affected
         subjects are re-run — through the serial bulk loop or, with
         ``jobs > 1``, through the parallel scheduler restricted to the
-        affected components.  Everything else (verdicts, HAMT typing entries,
-        report entries) is reused as-is.
+        affected components.  Everything else (the context's settled
+        verdicts, the report entries and the entries of the persistent
+        report typing, which is updated by ``without_nodes`` plus
+        ``combine``) is reused as-is.
 
         Falls back to a full ``validate_graph`` — flagged via
         ``full_rebuild`` — when no baseline exists, the label set changed,
@@ -1036,9 +1038,9 @@ class Validator:
             if self.schema is None or self.schema.start is None:
                 raise SchemaError("no shape label given and the schema has no start shape")
             return self.schema.start
-        if isinstance(label, ShapeLabel):
-            return label
-        return ShapeLabel(label)
+        if self.schema is not None:
+            return self.schema.resolve_label(label)
+        return label if isinstance(label, ShapeLabel) else ShapeLabel(label)
 
 
 # -- the bulk prefilter fast lane ---------------------------------------------------

@@ -13,9 +13,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rdf import EX
-from repro.shex.hamt import HamtMap
+from repro.shex.hamt import HamtMap, _Bitmap, _Collision, _Leaf
 from repro.shex.typing import ShapeLabel, ShapeTyping
 
 
@@ -280,3 +282,66 @@ class TestValueSemantics:
     def test_assoc_requires_hashable_keys(self):
         with pytest.raises(TypeError):
             HamtMap.empty().assoc([], 1)
+
+
+def node_shape(mapping: HamtMap):
+    """A full dump of the trie: node kinds, hashes, bitmaps, counts, entries."""
+    def dump(node):
+        if type(node) is _Leaf:
+            return ("leaf", node.khash, node.key, node.value)
+        if type(node) is _Collision:
+            return ("collision", node.khash, node.entries)
+        assert type(node) is _Bitmap
+        return ("bitmap", node.bitmap, node.count,
+                tuple(dump(child) for child in node.children))
+    return None if mapping._root is None else dump(mapping._root)
+
+
+#: key hashes chosen to force every trie shape: full 60-bit collisions
+#: (``2**60 + h`` masks to ``h``), deep shared prefixes (hashes that differ
+#: only in their top bits) and ordinary spread hashes.
+_HASHES = st.one_of(
+    st.integers(0, 7),
+    st.integers(0, 7).map(lambda h: (1 << 60) + h),
+    st.integers(0, 7).map(lambda h: h << 55),
+    st.integers(0, 2 ** 64),
+)
+
+
+@st.composite
+def keyed_items(draw):
+    """``(key, value)`` pairs over a small name pool (so keys repeat), each
+    name with one fixed hash (``==`` keys must hash alike)."""
+    names = draw(st.lists(st.sampled_from("abcdefghijklmnop"), max_size=40))
+    hashes = {name: draw(_HASHES) for name in sorted(set(names))}
+    return [(FixedHashKey(name, hashes[name]), draw(st.integers(0, 3)))
+            for name in names]
+
+
+class TestBulkBuild:
+    """``from_items`` builds in one pass the trie a fold of ``assoc`` builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keyed_items())
+    def test_from_items_equals_an_assoc_fold(self, items):
+        folded = HamtMap.empty()
+        for key, value in items:
+            folded = folded.assoc(key, value)
+        built = HamtMap.from_items(items)
+        assert node_shape(built) == node_shape(folded)
+        assert built == folded
+        assert hash(built) == hash(folded)
+        assert list(built.items()) == list(folded.items())
+        assert len(built) == len(folded)
+
+    def test_last_value_of_a_repeated_key_wins(self):
+        key = FixedHashKey("k", 3)
+        twin = FixedHashKey("k", 3)
+        built = HamtMap.from_items([(key, 1), (FixedHashKey("j", 3), 2),
+                                    (twin, 9)])
+        assert built.get(key) == 9
+        # the latest key object is kept, as assoc keeps it
+        assert any(stored is twin for stored, _ in built.items())
+
+    def test_empty_input_is_the_empty_map(self):
+        assert HamtMap.from_items([]) is HamtMap.empty()

@@ -1,5 +1,7 @@
 """Tests for Shape Expression Schemas and the typing context (Section 8)."""
 
+import pickle
+
 import pytest
 
 from repro.rdf import EX, FOAF, Graph, Literal, Triple
@@ -104,6 +106,15 @@ class TestSchemaIntrospection:
 
     def test_person_schema_is_recursive(self):
         assert person_schema().is_recursive()
+
+    def test_resolve_label(self, recursive_schema):
+        own = next(recursive_schema.labels())
+        assert recursive_schema.resolve_label("p") is own
+        label = ShapeLabel("p")
+        assert recursive_schema.resolve_label(label) is label
+        assert recursive_schema.resolve_label("q") == ShapeLabel("q")
+        with pytest.raises(ValueError):
+            recursive_schema.resolve_label("")
 
 
 class TestValidationContext:
@@ -214,6 +225,51 @@ class TestValidationContext:
                                     max_recursion_depth=3)
         result = context.check_reference(people[0], "Person")
         assert not result.matched
+
+
+    def test_str_and_label_forms_agree(self):
+        # the verdict API normalises names to labels at its boundary, so a
+        # verdict recorded under one form is found under the other
+        context = ValidationContext(Graph(), None, DerivativeEngine().match_neighbourhood)
+        context.confirm(EX.a, "P")
+        context.confirm(EX.b, ShapeLabel("P"))
+        context.record_failure(EX.c, "Q")
+        context.record_failure(EX.d, ShapeLabel("Q"))
+        context.seed_settled(confirmed=[(EX.e, "R")], failed=[(EX.f, "Z")])
+        context.seed_settled(confirmed=[(EX.g, ShapeLabel("R"))],
+                             failed=[(EX.h, ShapeLabel("Z"))])
+        for node, name in ((EX.a, "P"), (EX.b, "P"), (EX.e, "R"), (EX.g, "R")):
+            assert context.is_confirmed(node, name)
+            assert context.is_confirmed(node, ShapeLabel(name))
+            assert not context.is_failed(node, name)
+        for node, name in ((EX.c, "Q"), (EX.d, "Q"), (EX.f, "Z"), (EX.h, "Z")):
+            assert context.is_failed(node, name)
+            assert context.is_failed(node, ShapeLabel(name))
+            assert not context.is_confirmed(node, name)
+        confirmed, failed = context.settled_verdicts()
+        assert all(type(label) is ShapeLabel for _, label in confirmed + failed)
+        assert len(confirmed) == 4 and len(failed) == 4
+        assert context.typing.has(EX.a, "P") and context.typing.has(EX.e, "R")
+
+    def test_deferred_typing_reads_the_context_at_read_time(self, recursive_schema):
+        graph = Graph()
+        for node in (EX.n1, EX.n2):
+            graph.add(Triple(node, EX.a, Literal(1)))
+            graph.add(Triple(node, EX.b, Literal(1)))
+        context = self.make_context(graph, recursive_schema)
+        first = context.check_reference(EX.n1, "p")
+        later = context.check_reference(EX.n2, "p")
+        # read right away: the typing of that moment
+        assert later.typing == context.typing
+        # read after a later confirmation: the context's verdicts at read
+        # time, a superset of what it held when the result was returned
+        assert first.typing.has(EX.n1, "p")
+        assert first.typing.has(EX.n2, "p")
+        # once resolved, the value is kept and a pickle ships it
+        resolved = first.typing
+        context.confirm(EX.n3, "p")
+        assert first.typing is resolved
+        assert pickle.loads(pickle.dumps(first)) == first
 
 
 class TestShExCHelpers:

@@ -17,9 +17,9 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import EX
+from repro.rdf import EX, Graph
 from repro.rdf.terms import IRI
-from repro.shex import ShapeLabel, ShapeTyping
+from repro.shex import DerivativeEngine, ShapeLabel, ShapeTyping, ValidationContext
 
 #: small pools force overlap, shared subtries and per-node label unions
 _NODES = [EX[f"node{i}"] for i in range(8)]
@@ -158,3 +158,75 @@ class TestHashEqConsistency:
         first = hash(typing)
         assert typing._hash is not None
         assert hash(typing) == first
+
+
+#: one verdict-store operation on a ValidationContext; labels come in both
+#: accepted forms (ShapeLabel and bare name)
+_any_label = st.one_of(st.sampled_from(_LABELS),
+                       st.sampled_from([label.name for label in _LABELS]))
+_any_pair = st.tuples(st.sampled_from(_NODES), _any_label)
+context_ops = st.lists(st.one_of(
+    st.tuples(st.just("confirm"), _any_pair),
+    st.tuples(st.just("fail"), _any_pair),
+    st.tuples(st.just("seed"), st.tuples(st.lists(_any_pair, max_size=4),
+                                         st.lists(_any_pair, max_size=4))),
+    st.tuples(st.just("retract"), st.lists(st.sampled_from(_NODES), max_size=3)),
+), max_size=30)
+
+
+class TestContextVerdictStore:
+    """A ValidationContext's verdict store against a dict-of-sets model."""
+
+    @settings(deadline=None)
+    @given(ops=context_ops)
+    def test_context_matches_the_dict_model(self, ops):
+        context = ValidationContext(Graph(), None,
+                                    DerivativeEngine().match_neighbourhood)
+        confirmed: Dict[IRI, Set[ShapeLabel]] = {}
+        failed: Dict[IRI, Set[ShapeLabel]] = {}
+        for op, arg in ops:
+            before = context.typing
+            model_before = {node: set(labels) for node, labels in confirmed.items()}
+            if op == "confirm":
+                node, label = arg
+                context.confirm(node, label)
+                confirmed.setdefault(node, set()).add(ShapeLabel(str(label)))
+            elif op == "fail":
+                node, label = arg
+                context.record_failure(node, label)
+                failed.setdefault(node, set()).add(ShapeLabel(str(label)))
+            elif op == "seed":
+                seed_confirmed, seed_failed = arg
+                context.seed_settled(seed_confirmed, seed_failed)
+                for node, label in seed_confirmed:
+                    confirmed.setdefault(node, set()).add(ShapeLabel(str(label)))
+                for node, label in seed_failed:
+                    failed.setdefault(node, set()).add(ShapeLabel(str(label)))
+            else:
+                expected = sum(len(confirmed.pop(node, ()))
+                               + len(failed.pop(node, ()))
+                               for node in set(arg))
+                assert context.retract_nodes(arg) == expected
+            typing = context.typing
+            assert typing == ShapeTyping(confirmed)
+            assert hash(typing) == hash(ShapeTyping(confirmed))
+            assert context.typing is typing
+            if confirmed == model_before:
+                # nothing confirmed changed: the cached typing survives
+                assert typing is before
+        for node in _NODES:
+            for label in _LABELS:
+                in_confirmed = label in confirmed.get(node, ())
+                in_failed = label in failed.get(node, ())
+                assert context.is_confirmed(node, label) is in_confirmed
+                assert context.is_confirmed(node, label.name) is in_confirmed
+                assert context.is_failed(node, label) is in_failed
+                assert context.is_failed(node, label.name) is in_failed
+        counts = context.settled_counts()
+        assert counts["confirmed"] == sum(map(len, confirmed.values()))
+        assert counts["failed"] == sum(map(len, failed.values()))
+        export_confirmed, export_failed = context.settled_verdicts()
+        assert set(export_confirmed) == {(node, label) for node, labels
+                                         in confirmed.items() for label in labels}
+        assert set(export_failed) == {(node, label) for node, labels
+                                      in failed.items() for label in labels}
