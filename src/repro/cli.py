@@ -180,10 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="hash-partition subjects across N worker "
                             "processes (the sharded scheduler; 0/1: off)")
-    serve.add_argument("--no-resident-shards", action="store_true",
-                       help="fork a fresh worker pool per run instead of "
-                            "keeping a resident shard fleet warm (escape "
-                            "hatch; slower deltas)")
     serve.add_argument("--fleet-response-timeout", type=float, default=120.0,
                        metavar="SECONDS",
                        help="how long the coordinator waits on a resident "
@@ -416,10 +412,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     from .service.session import ValidationSession
 
     schema = _load_schema(args.schema)
-    resident = not args.no_resident_shards
     server = serve(schema, host=args.host, port=args.port,
                    jobs=args.jobs, shards=args.shards,
-                   resident=resident,
                    precompile=not args.no_precompile,
                    cache_max_entries=args.cache_max_entries,
                    connection_timeout=args.connection_timeout or None,
@@ -430,7 +424,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args.data, args.data_format, args.store)
         session = ValidationSession(
             graph, schema, jobs=args.jobs, shards=args.shards,
-            resident=resident,
             precompile=not args.no_precompile,
             cache_max_entries=args.cache_max_entries,
             fleet_response_timeout=args.fleet_response_timeout)

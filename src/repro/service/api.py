@@ -537,7 +537,6 @@ class ServiceStats:
             fleet = self.fleet
             lines.append("fleet-stats: "
                          f"shards={fleet.get('shards', 0)} "
-                         f"resident={fleet.get('resident', False)} "
                          f"workers_alive={fleet.get('workers_alive', 0)} "
                          f"workers_loaded={fleet.get('workers_loaded', 0)} "
                          f"respawns={fleet.get('respawns', 0)}")

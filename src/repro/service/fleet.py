@@ -1,9 +1,7 @@
 """Resident shard fleet: persistent worker processes with shard-local state.
 
-PR 7's ``--shards N`` re-forked a process pool on every run and shipped a
-fresh neighbourhood snapshot each time.  This module keeps the shard workers
-**resident** for the lifetime of a session, the way a serving fleet keeps
-model replicas warm:
+``--shards N`` keeps the shard workers **resident** for the lifetime of a
+session, the way a serving fleet keeps model replicas warm:
 
 * each worker owns a full **shard-local graph replica** with its own bounded
   :class:`~repro.rdf.journal.ChangeJournal`,
@@ -14,8 +12,10 @@ model replicas warm:
 * deltas are **broadcast** to every replica (replicas must stay whole so
   cross-shard reference targets keep deriving from shard-local state), while
   the revalidation *work* is hash-partitioned by subject ownership,
-* only **settled** verdicts ever travel back to the coordinator, under the
-  same merge protocol as the SCC scheduler and the re-fork shard path.
+* only **settled** verdicts ever travel back to the coordinator, together
+  with the replica's :class:`~repro.shex.results.MatchStats` delta, under
+  the same merge rule as the SCC scheduler
+  (:func:`repro.shex.validator.merge_settled`).
 
 The coordinator talks to each worker over an explicit request/response queue
 pair.  Commands: ``load`` (replica + warm full run), ``apply`` (one delta
@@ -44,11 +44,11 @@ import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.graph import Graph
-from ..shex.cache import DerivativeCache
+from ..shex.results import MatchStats
 from ..shex.validator import (
     IncrementalFallback,
     Validator,
-    get_engine,
+    _engine_from_spec,
 )
 from .api import ServiceError
 from .faults import FaultInjector, FaultPlan
@@ -92,13 +92,9 @@ class _ShardReplica:
         self.graph = Graph(journal_max_entries=journal_max_entries)
         with self.graph.batch():
             self.graph.add_all(triples)
-        name, options, cache_bound = engine_spec
-        options = dict(options)
-        if options.get("cache") is True and cache_bound is not None:
-            options["cache"] = DerivativeCache(max_entries=cache_bound)
-        engine = get_engine(name, **options)
         self.validator = Validator(
-            self.graph, schema, engine=engine, shared_context=True, jobs=1,
+            self.graph, schema, engine=_engine_from_spec(engine_spec),
+            shared_context=True, jobs=1,
             precompile=compiled is not None, compiled=compiled,
             max_recursion_depth=max_recursion_depth,
             subject_filter=_OwnedBy(shards, shard_index),
@@ -106,14 +102,25 @@ class _ShardReplica:
         self.rounds = 0
         self.full_runs = 0
 
+    def _drain_stats(self) -> MatchStats:
+        """The shared context's :class:`MatchStats` since the last drain.
+
+        The record is reset after each report, so every command result
+        carries exactly its own work (also when the command rebuilt the
+        context)."""
+        context = self.validator._bulk_context()
+        stats, context.stats = context.stats, MatchStats()
+        return stats
+
     # -- commands -------------------------------------------------------------
-    def run(self, labels) -> Tuple[list, list, list]:
-        """Full owned validation; returns (entries, confirmed, failed)."""
+    def run(self, labels) -> Tuple[list, list, list, MatchStats]:
+        """Full owned validation; returns (entries, confirmed, failed, stats)."""
         report = self.validator.validate_graph(labels=list(labels) or None)
         self.full_runs += 1
         context = self.validator._bulk_context()
         confirmed, failed = context.settled_verdicts()
-        return list(report.entries), list(confirmed), list(failed)
+        return (list(report.entries), list(confirmed), list(failed),
+                self._drain_stats())
 
     def apply(self, add, remove) -> int:
         """Apply one delta batch to the replica; returns the generation."""
@@ -146,13 +153,14 @@ class _ShardReplica:
                     "full run is required")
         return None
 
-    def revalidate(self, labels) -> Tuple[list, list, list, dict]:
-        """The shard-local PR 5 loop; returns only the affected delta.
+    def revalidate(self, labels) -> Tuple[list, list, list, MatchStats]:
+        """The shard-local revalidate loop; returns only the affected delta.
 
         ``(delta_entries, confirmed, failed, stats)`` where the settled
         lists are restricted to the round's affected closure — the verdicts
-        this round actually (re-)derived.  Unaffected baseline verdicts
-        never re-cross the process boundary.
+        this round actually (re-)derived — and ``stats`` is the round's
+        :class:`MatchStats` delta.  Unaffected baseline verdicts never
+        re-cross the process boundary.
         """
         result = self.validator.revalidate(labels=list(labels) or None,
                                            allow_full_rebuild=False)
@@ -163,7 +171,7 @@ class _ShardReplica:
         new_confirmed = [pair for pair in confirmed if pair[0] in affected]
         new_failed = [pair for pair in failed if pair[0] in affected]
         return (list(result.delta.entries), new_confirmed, new_failed,
-                result.stats())
+                self._drain_stats())
 
     def verdicts(self, pairs) -> list:
         """Baseline entries for ``pairs`` (``None`` → the whole baseline)."""

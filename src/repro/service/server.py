@@ -91,7 +91,6 @@ class ValidationService:
 
     def __init__(self, schema: Optional[Schema] = None, *,
                  jobs: int = 1, shards: int = 0,
-                 resident: bool = True,
                  precompile: bool = True,
                  cache_max_entries: Optional[int] = None,
                  fleet_response_timeout: float = 120.0,
@@ -100,7 +99,6 @@ class ValidationService:
         self.schema = schema
         self.jobs = jobs
         self.shards = shards
-        self.resident = resident
         self.precompile = precompile
         self.cache_max_entries = cache_max_entries
         self.fleet_response_timeout = fleet_response_timeout
@@ -115,7 +113,6 @@ class ValidationService:
         session = ValidationSession.from_request(
             request, default_schema=self.schema,
             default_jobs=self.jobs, default_shards=self.shards,
-            default_resident=self.resident,
             precompile=self.precompile,
             cache_max_entries=self.cache_max_entries,
             fleet_response_timeout=self.fleet_response_timeout,
@@ -518,7 +515,6 @@ class ReproServer:
 
 def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
           port: int = 0, jobs: int = 1, shards: int = 0,
-          resident: bool = True,
           precompile: bool = True,
           cache_max_entries: Optional[int] = None,
           connection_timeout: Optional[float] = 30.0,
@@ -534,8 +530,7 @@ def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
     plan is shipped to every resident shard worker (the ``fleet.*`` points).
     """
     service = ValidationService(
-        schema, jobs=jobs, shards=shards,
-        resident=resident, precompile=precompile,
+        schema, jobs=jobs, shards=shards, precompile=precompile,
         cache_max_entries=cache_max_entries,
         fleet_response_timeout=fleet_response_timeout,
         fault_plan=faults.plan if faults is not None else None)

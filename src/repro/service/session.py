@@ -87,17 +87,26 @@ def collect_stats(validator: Validator, totals: MatchStats,
     else:
         cache = dict(cache_obj.stats())
         cache["hit_rate"] = round(cache_obj.hit_rate, 4)
+    context = getattr(validator, "_context", None)
+    # the shared context's cumulative stats include the probe/store work that
+    # happens *between* per-entry snapshot windows (signature misses, build
+    # time) and, merged in by every multi-process scheduler, the work done
+    # in worker processes; the per-entry totals are the fallback for
+    # fresh-context modes.
+    profiled = context.stats if context is not None else totals
     signature_obj = getattr(validator, "signature_cache", None)
     if signature_obj is None:
         signature = {}
     else:
+        # the table's own size and bound, but the traffic counters of the
+        # merged profile: workers probe private tables the coordinator's
+        # never sees, so its hit counters would cover only local work
         signature = dict(signature_obj.stats())
-        signature["hit_rate"] = round(signature_obj.hit_rate, 4)
-    context = getattr(validator, "_context", None)
-    # the shared context's cumulative stats include the probe/store work that
-    # happens *between* per-entry snapshot windows (signature misses, build
-    # time); the per-entry totals are the fallback for fresh-context modes.
-    profiled = context.stats if context is not None else totals
+        hits = profiled.signature_hits
+        lookups = hits + profiled.signature_misses
+        signature.update(hits=hits, misses=profiled.signature_misses,
+                         dedupes=profiled.signature_dedupes,
+                         hit_rate=round(hits / lookups if lookups else 0.0, 4))
     profile = {
         "signature_hits": profiled.signature_hits,
         "signature_misses": profiled.signature_misses,
@@ -141,7 +150,6 @@ class ValidationSession:
     def __init__(self, graph: TripleStore, schema: Schema, *,
                  engine: Union[str, object, None] = None,
                  jobs: int = 1, shards: int = 0,
-                 resident: bool = True,
                  precompile: bool = True,
                  use_cache: bool = True,
                  cache_max_entries: Optional[int] = None,
@@ -164,7 +172,7 @@ class ValidationSession:
         if self.shards > 1:
             self.validator: Validator = ShardedValidator(
                 graph, schema, engine=engine, shards=self.shards,
-                resident=resident, precompile=precompile,
+                precompile=precompile,
                 max_recursion_depth=max_recursion_depth,
                 fleet_response_timeout=fleet_response_timeout,
                 fault_plan=fault_plan, **engine_options)
@@ -197,7 +205,6 @@ class ValidationSession:
                      default_schema: Optional[Schema] = None,
                      default_jobs: int = 1,
                      default_shards: int = 0,
-                     default_resident: bool = True,
                      precompile: bool = True,
                      cache_max_entries: Optional[int] = None,
                      use_signature_cache: bool = True,
@@ -236,7 +243,7 @@ class ValidationSession:
             raise ServiceError("bad-request",
                                "jobs must be >= 1 and shards >= 0", 400)
         return cls(graph, schema, jobs=jobs, shards=shards,
-                   resident=default_resident, precompile=precompile,
+                   precompile=precompile,
                    cache_max_entries=cache_max_entries,
                    use_signature_cache=use_signature_cache,
                    fleet_response_timeout=fleet_response_timeout,

@@ -255,12 +255,6 @@ class SignatureCache:
             self._verdicts.pop(next(iter(self._verdicts)))
             self.evictions += 1
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of signature lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> Dict[str, int]:
         """Return table size and hit/miss/dedupe/eviction counters."""
         return {

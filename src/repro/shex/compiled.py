@@ -293,30 +293,46 @@ class CompiledShape:
         if not self.nullable and not self.first_open \
                 and self.first_exact.isdisjoint(counts):
             return self._reject("first")
+        # the reject branches name the *least* offending predicate by
+        # ``sort_key`` (not the first one met), so the reason does not
+        # depend on the order the store yields counts or triples in
         allowed_exact = self.allowed_exact
         allows_any = self.allows_any
         allowed_stems = self.allowed_stems
         max_counts = self.max_counts
+        offence: Optional[Tuple[tuple, str, IRI]] = None
         for predicate, count in counts.items():
             if predicate not in allowed_exact and not allows_any \
                     and not any(predicate.value.startswith(stem)
                                 for stem in allowed_stems):
-                return self._reject("allowed", predicate)
-            if max_counts:
-                maximum = max_counts.get(predicate)
-                if maximum is not None and count > maximum:
-                    return self._reject("max", predicate)
+                rule = "allowed"
+            elif max_counts and count > max_counts.get(predicate, count):
+                rule = "max"
+            else:
+                continue
+            key = predicate.sort_key()
+            if offence is None or key < offence[0]:
+                offence = (key, rule, predicate)
+        if offence is not None:
+            return self._reject(offence[1], offence[2])
         for predicate, minimum in self.required:
             if counts.get(predicate, 0) < minimum:
                 return self._reject("required", predicate)
         if self.screens:
             for triple in triples:
-                screen = self.screens.get(triple.predicate)
+                predicate = triple.predicate
+                screen = self.screens.get(predicate)
                 if screen is None:
                     continue
+                if offence is not None:
+                    key = predicate.sort_key()
+                    if key >= offence[0]:
+                        continue
                 obj = triple.object
                 if not any(constraint.matches(obj) for constraint in screen):
-                    return self._reject("screen", triple.predicate)
+                    offence = (predicate.sort_key(), "screen", predicate)
+            if offence is not None:
+                return self._reject("screen", offence[2])
         return None
 
 

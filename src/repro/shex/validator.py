@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from time import perf_counter
 from typing import (
     Callable,
@@ -46,7 +48,8 @@ from .schema import Schema, SchemaError, ValidationContext
 from .typing import ShapeLabel, ShapeTyping
 
 __all__ = ["Validator", "ValidationReport", "RevalidationResult",
-           "IncrementalFallback", "get_engine", "ENGINES"]
+           "IncrementalFallback", "get_engine", "ENGINES", "run_lanes",
+           "merge_settled"]
 
 
 class IncrementalFallback(Exception):
@@ -426,14 +429,7 @@ class Validator:
         label = self._resolve_label(label)
         if context is None:
             context = self._new_context()
-        before = context.stats.copy()
-        result = context.check_reference(node, label)
-        entry_stats = context.stats.delta_since(before).merge(result.stats)
-        return ValidationReportEntry(
-            node=node, label=label, conforms=result.matched,
-            reason=result.reason, stats=entry_stats,
-            limit_exceeded=result.limit_exceeded,
-        )
+        return _engine_entry(context, node, label)
 
     def validate_map(self, shape_map: Mapping[SubjectTerm, Union[ShapeLabel, str]]
                      ) -> ValidationReport:
@@ -492,8 +488,8 @@ class Validator:
         call.  With more than one job the reference graph is partitioned by
         strongly-connected component and independent components are validated
         across worker processes; verdicts are identical to the serial bulk
-        path (up to failure-message wording and recursion-budget edge cases —
-        see ``docs/architecture.md``).
+        path (up to recursion-budget edge cases — see
+        ``docs/architecture.md``).
         """
         if self.schema is None:
             raise SchemaError("validate_graph requires a schema")
@@ -519,52 +515,6 @@ class Validator:
         self._incremental_typing = report.typing
         self._incremental_generation = getattr(self.graph, "generation", None)
 
-    def _validate_pairs_serial(self, context: Optional[ValidationContext],
-                               label_list: Sequence[ShapeLabel],
-                               subjects: Sequence[SubjectTerm],
-                               ) -> List[ValidationReportEntry]:
-        """Validate ``subjects × label_list`` in order, signature first.
-
-        Each ``(node, label)`` pair is probed against the signature cache
-        first — the cached verdict is a pure function of the canonical
-        neighbourhood signature for *any* label, so a repeated structure is
-        answered in one dictionary hit before any prefilter scan or matching
-        frame is constructed.  The labels the cache cannot answer go to the
-        compiled-schema prefilter, whose decisions are themselves recorded
-        under the signature (they are signature-pure too); only the
-        remainder goes through :meth:`validate_node` and the engine — whose
-        settled verdict is stored back for every later lookalike subject.
-        """
-        use_prefilter = context is not None and context.compiled is not None
-        cache = context.signature_cache if context is not None else None
-        entries: List[ValidationReportEntry] = []
-        for node in subjects:
-            answered: Dict[ShapeLabel, ValidationReportEntry] = {}
-            if cache is not None:
-                for label in label_list:
-                    hit = _signature_probe(context, cache, node, label)
-                    if hit is not None:
-                        answered[label] = hit
-            pending = [label for label in label_list
-                       if label not in answered] if answered else label_list
-            decisions = (context.prefilter_node(node, pending)
-                         if pending and use_prefilter else None)
-            for label in label_list:
-                entry = answered.get(label)
-                if entry is None:
-                    decision = decisions.get(label) if decisions else None
-                    if decision is not None:
-                        entry = _decided_entry(node, label, decision)
-                        if cache is not None:
-                            _prefilter_signature_store(context, cache, node,
-                                                       label, decision)
-                    else:
-                        entry = self.validate_node(node, label, context=context)
-                        if cache is not None:
-                            _signature_store(context, cache, node, label, entry)
-                entries.append(entry)
-        return entries
-
     def _owns(self, node: SubjectTerm) -> bool:
         """Whether bulk reports cover ``node`` (True without a filter)."""
         return self.subject_filter is None or self.subject_filter(node)
@@ -575,8 +525,15 @@ class Validator:
         subjects = sorted((node for node in self.graph.nodes()
                            if self._owns(node)),
                           key=lambda term: term.sort_key())
-        report = ValidationReport(
-            entries=self._validate_pairs_serial(context, label_list, subjects))
+        if context is None:
+            # the paper-faithful per-node baseline: a fresh context (and so
+            # no verdict sharing, prefilter lane or signature memo) per pair
+            entries = [self.validate_node(node, label)
+                       for node in subjects for label in label_list]
+        else:
+            entries = run_lanes(context,
+                                [(node, label_list) for node in subjects])
+        report = ValidationReport(entries=entries)
         report.typing = ShapeTyping.from_pairs(
             (entry.node, entry.label) for entry in report.entries if entry.conforms
         )
@@ -613,6 +570,27 @@ class Validator:
         report.typing = ShapeTyping.from_pairs(conforming)
         return report
 
+    def _check_parallel(self) -> None:
+        """Refuse the configurations no multi-process scheduler can run."""
+        if not self.shared_context:
+            raise ValueError(
+                "parallel bulk validation shares settled verdicts across "
+                "processes and is incompatible with shared_context=False "
+                "(the per-node baseline); use jobs=1 instead"
+            )
+        if self.subject_filter is not None:
+            raise ValueError(
+                "parallel bulk validation is incompatible with a "
+                "subject_filter (shard workers validate their owned subset "
+                "serially); use jobs=1 instead"
+            )
+        if self._worker_engine_spec is None:
+            raise ValueError(
+                "parallel bulk validation needs an engine constructible by "
+                "name ('derivatives' or 'backtracking') so worker processes "
+                "can rebuild it; engine objects cannot be shipped"
+            )
+
     def _run_parallel(self, label_list: Sequence[ShapeLabel], jobs: int,
                       restrict: Optional[FrozenSet[ObjectTerm]] = None,
                       ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
@@ -634,32 +612,15 @@ class Validator:
 
         from .partition import partition_reference_graph
 
-        if not self.shared_context:
-            raise ValueError(
-                "parallel bulk validation shares settled verdicts across "
-                "components and is incompatible with shared_context=False "
-                "(the per-node baseline); use jobs=1 instead"
-            )
-        if self.subject_filter is not None:
-            raise ValueError(
-                "parallel bulk validation is incompatible with a "
-                "subject_filter (shard workers validate their owned subset "
-                "serially); use jobs=1 instead"
-            )
+        self._check_parallel()
         spec = self._worker_engine_spec
-        if spec is None:
-            raise ValueError(
-                "parallel bulk validation needs an engine constructible by "
-                "name ('derivatives' or 'backtracking') so worker processes "
-                "can rebuild it; engine objects cannot be shipped"
-            )
 
         # the compiled schema tightens the partition (references whose target
         # the prefilter settles locally need no scheduling edge) and ships to
         # every worker so nothing is recompiled per process.
         compiled = self.compiled
         # verdicts settled by earlier runs carry over, exactly as in the
-        # serial shared-context path; new ones are merged back afterwards.
+        # serial shared-context path; new ones merge in as each task ends.
         context = self._bulk_context()
         generation = getattr(self.graph, "generation", None)
         scan: Optional[Set[ObjectTerm]] = None
@@ -701,13 +662,6 @@ class Validator:
                 pairs.extend((node, label) for label in wanted)
             component_pairs.append(pairs)
 
-        settled: Dict[ObjectTerm, List[Tuple[ShapeLabel, bool]]] = {}
-        seed_confirmed, seed_failed = context.settled_verdicts()
-        for node, label in seed_confirmed:
-            settled.setdefault(node, []).append((label, True))
-        for node, label in seed_failed:
-            settled.setdefault(node, []).append((label, False))
-
         # the snapshot must describe the same graph the partition was derived
         # from: if anything mutated the graph between partitioning and
         # capture, the stamped generation moves past the one recorded above.
@@ -726,8 +680,7 @@ class Validator:
         init_args = (self.schema, spec, snapshot, self.max_recursion_depth,
                      sys.getrecursionlimit(), compiled, signature_spec)
         entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        new_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        new_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
+        schema_labels = tuple(self.schema.labels())
         workers = min(jobs, len(partition.components))
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_parallel_worker_init,
@@ -754,25 +707,17 @@ class Validator:
                     batch_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
                     batch_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
                     for node in targets:
-                        for label, verdict in settled.get(node, ()):
-                            bucket = batch_confirmed if verdict else batch_failed
-                            bucket.append((node, label))
+                        for label in schema_labels:
+                            if context.is_confirmed(node, label):
+                                batch_confirmed.append((node, label))
+                            elif context.is_failed(node, label):
+                                batch_failed.append((node, label))
                     futures.append(pool.submit(
                         _parallel_worker_run, pairs, batch_confirmed, batch_failed))
+                # merged verdicts seed the context, and from it the
+                # batches of every later level
                 for future in futures:
-                    (worker_entries, confirmed, failed,
-                     worker_stats) = future.result()
-                    context.stats = context.stats.merge(worker_stats)
-                    for entry in worker_entries:
-                        entries[(entry.node, entry.label)] = entry
-                    for pair in confirmed:
-                        settled.setdefault(pair[0], []).append((pair[1], True))
-                        new_confirmed.append(pair)
-                    for pair in failed:
-                        settled.setdefault(pair[0], []).append((pair[1], False))
-                        new_failed.append(pair)
-        # the merge protocol: only settled verdicts enter the shared context.
-        context.seed_settled(new_confirmed, new_failed)
+                    merge_settled(context, [future.result()], entries)
         return entries
 
     # -- session hooks --------------------------------------------------------------
@@ -888,11 +833,12 @@ class Validator:
              if node in subject_set and self._owns(node)),
             key=lambda term: term.sort_key(),
         )
-        new_entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
+        new_entries: Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
+                                   ValidationReportEntry]] = None
         if n_jobs is not None and n_jobs > 1 and affected_subjects:
             try:
-                parallel_entries = self._run_parallel(label_list, n_jobs,
-                                                      restrict=affected)
+                new_entries = self._run_parallel(label_list, n_jobs,
+                                                 restrict=affected)
             except IncrementalFallback as error:
                 # a scheduler (e.g. the resident shard fleet) declared the
                 # restricted run unanswerable; honour the caller's rebuild
@@ -911,15 +857,11 @@ class Validator:
                                      self.max_recursion_depth,
                                      self._incremental_generation)
                 raise
-        else:
-            parallel_entries = None
-        if parallel_entries is not None:
-            new_entries = parallel_entries
-        elif affected_subjects:
-            entries_list = self._validate_pairs_serial(context, label_list,
-                                                       affected_subjects)
+        if new_entries is None:
             new_entries = {(entry.node, entry.label): entry
-                           for entry in entries_list}
+                           for entry in run_lanes(
+                               context, [(node, label_list)
+                                         for node in affected_subjects])}
 
         # delta-update the baseline table: drop every affected pair (this
         # covers subjects that no longer exist), then insert the re-runs.
@@ -961,8 +903,7 @@ class Validator:
         scheduling edges and snapshot coverage like any closure member.
         Typically the expansion is empty — a full baseline settles everything
         it demands — but a label-subset baseline can leave demanded chains
-        unsettled.  Shared by the SCC scheduler and the hash-sharded service
-        scheduler (:class:`repro.service.sharding.ShardedValidator`).
+        unsettled.
         """
         scan = set(restrict)
         frontier: List[ObjectTerm] = list(scan)
@@ -1043,6 +984,112 @@ class Validator:
         return label if isinstance(label, ShapeLabel) else ShapeLabel(label)
 
 
+# -- the lane loop ------------------------------------------------------------------
+def run_lanes(context: ValidationContext,
+              work: Iterable[Tuple[ObjectTerm, Sequence[ShapeLabel]]],
+              ) -> List[ValidationReportEntry]:
+    """Settle every ``(node, labels)`` group of ``work``; return the entries.
+
+    The one lane loop of every bulk scheduler (serial runs, incremental
+    rounds, SCC-parallel workers and the fleet's coordinator safety net).
+    For each node, every label is first probed against the signature cache —
+    the cached verdict is a pure function of the canonical neighbourhood
+    signature for *any* label, so a repeated structure is answered in one
+    dictionary hit before any prefilter scan or matching frame is built.
+    The labels the cache cannot answer go through one compiled-schema
+    ``prefilter_node`` pass, whose decisions are recorded under the
+    signature too (they are signature-pure); only the remainder reaches the
+    engine through ``check_reference``, and its settled verdict is stored
+    back for every later lookalike subject.  Entries come out in ``work``
+    order, labels in the order each group lists them.
+    """
+    use_prefilter = context.compiled is not None
+    cache = context.signature_cache
+    entries: List[ValidationReportEntry] = []
+    for node, labels in work:
+        answered: Dict[ShapeLabel, ValidationReportEntry] = {}
+        if cache is not None:
+            for label in labels:
+                hit = _signature_probe(context, cache, node, label)
+                if hit is not None:
+                    answered[label] = hit
+        pending = [label for label in labels
+                   if label not in answered] if answered else labels
+        decisions = (context.prefilter_node(node, pending)
+                     if pending and use_prefilter else None)
+        for label in labels:
+            entry = answered.get(label)
+            if entry is None:
+                decision = decisions.get(label) if decisions else None
+                if decision is not None:
+                    entry = _decided_entry(node, label, decision)
+                    reason = entry.reason
+                else:
+                    entry = _engine_entry(context, node, label)
+                    reason = "" if entry.conforms else (
+                        "neighbourhood signature matches a structure that "
+                        f"does not satisfy {label}")
+                if cache is not None:
+                    _signature_store(context, cache, node, label, entry,
+                                     reason)
+            entries.append(entry)
+    return entries
+
+
+def _engine_entry(context: ValidationContext, node: ObjectTerm,
+                  label: ShapeLabel) -> ValidationReportEntry:
+    """Settle ``(node, label)`` through ``check_reference`` (the engine lane).
+
+    The entry's stats are an independent snapshot of the work done *for
+    this entry* — never an alias of the (possibly shared) context record.
+    """
+    before = context.stats.copy()
+    result = context.check_reference(node, label)
+    entry_stats = context.stats.delta_since(before).merge(result.stats)
+    return ValidationReportEntry(
+        node=node, label=label, conforms=result.matched,
+        reason=result.reason, stats=entry_stats,
+        limit_exceeded=result.limit_exceeded,
+    )
+
+
+def merge_settled(context: ValidationContext, outcomes: Iterable[tuple],
+                  entries: Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
+                                         ValidationReportEntry]] = None,
+                  ) -> Dict[Tuple[ObjectTerm, ShapeLabel],
+                            ValidationReportEntry]:
+    """The settled-verdict merge rule, shared by every multi-process scheduler.
+
+    Each outcome is one worker's ``(entries, confirmed, failed, stats)``:
+    its report entries go into ``entries`` (a new dict when not given, which
+    is returned); its settled pairs are gathered first-wins (two workers may
+    settle the same cross-boundary target, and the verdicts agree); its
+    :class:`MatchStats` delta merges into the coordinator context so profile
+    counters cover worker-side work; and the gathered pairs enter the
+    context through one ``seed_settled`` call.  Provisional state never
+    crosses: workers export only what their context settled.
+    """
+    if entries is None:
+        entries = {}
+    confirmed_all: List[Tuple[ObjectTerm, ShapeLabel]] = []
+    failed_all: List[Tuple[ObjectTerm, ShapeLabel]] = []
+    seen: Set[Tuple[ObjectTerm, ShapeLabel]] = set()
+    for worker_entries, confirmed, failed, stats in outcomes:
+        for entry in worker_entries:
+            entries[(entry.node, entry.label)] = entry
+        for pair in confirmed:
+            if pair not in seen:
+                seen.add(pair)
+                confirmed_all.append(pair)
+        for pair in failed:
+            if pair not in seen:
+                seen.add(pair)
+                failed_all.append(pair)
+        context.stats.merge(stats)
+    context.seed_settled(confirmed_all, failed_all)
+    return entries
+
+
 # -- the bulk prefilter fast lane ---------------------------------------------------
 def _decided_entry(node: ObjectTerm, label: ShapeLabel,
                    decision) -> ValidationReportEntry:
@@ -1107,12 +1154,22 @@ def _signature_probe(context: ValidationContext, cache: SignatureCache,
 
 def _signature_store(context: ValidationContext, cache: SignatureCache,
                      node: ObjectTerm, label: ShapeLabel,
-                     entry: ValidationReportEntry) -> None:
-    """Record an engine-settled verdict under the subject's signature.
+                     entry: ValidationReportEntry, reason: str) -> None:
+    """Record a settled verdict under the subject's signature.
 
     Only *settled* outcomes are stored: budget-limited entries and verdicts
     the context did not settle (still provisional behind a hypothesis) never
     enter the cache — the two soundness gates of :class:`SignatureCache`.
+    Prefilter decisions always pass them and are signature-pure too: the
+    predicate multiset and the screenable constraint verdicts of each object
+    the prefilter consults are a function of the canonical signature.
+
+    ``reason`` is what every later lookalike is served, and ``entry`` gets
+    it as well.  Prefilter reasons name predicates, never the node, so they
+    are stored verbatim; an engine failure's own reason names this node's
+    triples, and which member of a signature class reaches the engine first
+    depends on the scheduler, so the lanes pass a class-wide reason that
+    keeps reports identical across serial, ``--jobs`` and ``--shards`` runs.
     """
     if entry.limit_exceeded:
         return
@@ -1127,34 +1184,8 @@ def _signature_store(context: ValidationContext, cache: SignatureCache,
     stats.signature_time += perf_counter() - start
     if signature is None:
         return
-    reason = "" if entry.conforms else (
-        "neighbourhood signature matches a structure that does not "
-        f"satisfy {label}")
+    entry.reason = reason
     cache.store(signature, label, entry.conforms, reason)
-    stats.signature_dedupes += 1
-
-
-def _prefilter_signature_store(context: ValidationContext, cache: SignatureCache,
-                               node: ObjectTerm, label: ShapeLabel,
-                               decision) -> None:
-    """Record a prefilter-decided verdict under the subject's signature.
-
-    Sound for the same reason the engine-path store is: everything the
-    prefilter consults — the predicate multiset and the screenable
-    constraint verdicts of each object — is a pure function of the
-    canonical neighbourhood signature, so equal signatures always replay
-    the same decision.  Storing it lets later lookalike subjects skip the
-    prefilter scan too, not just the engine run.  The prefilter's reason
-    strings name predicates, never the node, so serving them verbatim to a
-    lookalike stays accurate.
-    """
-    stats = context.stats
-    start = perf_counter()
-    signature = context.node_signature(node)
-    stats.signature_time += perf_counter() - start
-    if signature is None:
-        return
-    cache.store(signature, label, decision.matched, decision.reason)
     stats.signature_dedupes += 1
 
 
@@ -1180,6 +1211,15 @@ def _make_engine_spec(engine: Union[str, object, None],
         options["cache"] = True
         cache_bound = cache_option.max_entries
     return (name, options, cache_bound)
+
+
+def _engine_from_spec(engine_spec: tuple):
+    """Rebuild a worker-private engine from a :func:`_make_engine_spec` recipe."""
+    name, options, cache_bound = engine_spec
+    options = dict(options)
+    if options.get("cache") is True and cache_bound is not None:
+        options["cache"] = DerivativeCache(max_entries=cache_bound)
+    return get_engine(name, **options)
 
 
 def _balance_batches(level: Sequence[int],
@@ -1232,11 +1272,7 @@ def _parallel_worker_init(schema: Schema, engine_spec: tuple,
     global _WORKER_STATE
     if recursion_limit > sys.getrecursionlimit():
         sys.setrecursionlimit(recursion_limit)
-    name, options, cache_bound = engine_spec
-    options = dict(options)
-    if options.get("cache") is True and cache_bound is not None:
-        options["cache"] = DerivativeCache(max_entries=cache_bound)
-    engine = get_engine(name, **options)
+    engine = _engine_from_spec(engine_spec)
     if compiled is not None:
         cache = getattr(engine, "cache", None)
         if cache is not None:
@@ -1273,32 +1309,11 @@ def _parallel_worker_run(
                                 reference_index=reference_index)
     context.signature_cache = signature_cache
     context.seed_settled(seed_confirmed, seed_failed)
-    entries: List[ValidationReportEntry] = []
-    for node, label in pairs:
-        # signature first, prefilter second — the same lane order as the
-        # serial bulk path, so reasons and per-entry stats line up across
-        # ``--jobs`` settings
-        entry = (_signature_probe(context, signature_cache, node, label)
-                 if signature_cache is not None else None)
-        if entry is None:
-            decision = context.prefilter_check(node, label)
-            if decision is not None:
-                entry = _decided_entry(node, label, decision)
-                if signature_cache is not None:
-                    _prefilter_signature_store(context, signature_cache, node,
-                                               label, decision)
-            else:
-                before = context.stats.copy()
-                result = context.check_reference(node, label)
-                entry_stats = context.stats.delta_since(before).merge(result.stats)
-                entry = ValidationReportEntry(
-                    node=node, label=label, conforms=result.matched,
-                    reason=result.reason, stats=entry_stats,
-                    limit_exceeded=result.limit_exceeded,
-                )
-                if signature_cache is not None:
-                    _signature_store(context, signature_cache, node, label, entry)
-        entries.append(entry)
+    # pairs arrive node-major: regroup them into the lane loop's
+    # ``(node, labels)`` runs so every scheduler applies one lane order
+    work = [(node, [label for _, label in group])
+            for node, group in groupby(pairs, key=itemgetter(0))]
+    entries = run_lanes(context, work)
     confirmed, failed = context.settled_verdicts()
     seeded = set(seed_confirmed)
     seeded.update(seed_failed)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.rdf.ntriples import iter_ntriples
 from repro.service import (
     DeltaRequest,
@@ -14,7 +16,11 @@ from repro.service import (
     shard_of,
 )
 from repro.shex import Validator
-from repro.workloads import generate_community_workload, person_schema
+from repro.workloads import (
+    generate_community_workload,
+    generate_kb_workload,
+    person_schema,
+)
 
 
 def community():
@@ -122,6 +128,55 @@ class TestByteIdentity:
                 for session in sessions
             ]
             assert payloads[0] == payloads[1] == payloads[2], node
+
+
+    @pytest.mark.parametrize("make_workload", [
+        lambda: generate_kb_workload(600, 6, seed=5),
+        community,
+    ], ids=["kb", "community"])
+    def test_report_entries_identical_across_schedulers(self, make_workload):
+        """Serial, ``jobs=2`` and ``shards=2`` runs report every pair with
+        the same verdict *and* the same reason: no reason may depend on the
+        order a store or a worker meets triples or lookalike subjects in."""
+        reports = []
+        for options in ({}, {"jobs": 2}, {"shards": 2}):
+            workload = make_workload()
+            session = ValidationSession(workload.graph, workload.schema,
+                                        **options)
+            try:
+                reports.append([
+                    (e.node, e.label, e.conforms, e.reason, e.limit_exceeded)
+                    for e in session.validate().entries])
+            finally:
+                session.close()
+        assert reports[0] == reports[1]
+        assert reports[0] == reports[2]
+
+
+class TestSignatureStats:
+    def test_signature_block_counts_worker_traffic(self):
+        """The ``signature`` block's hit counters agree with the merged
+        ``profile`` for every scheduler — worker processes probe private
+        tables the coordinator's own table never sees."""
+        for options in ({}, {"jobs": 2}, {"shards": 2}):
+            workload = generate_kb_workload(600, 6, seed=5)
+            session = ValidationSession(workload.graph, workload.schema,
+                                        **options)
+            try:
+                session.validate()
+                stats = session.stats()
+            finally:
+                session.close()
+            signature, profile = stats.signature, stats.profile
+            assert signature["hits"] == profile["signature_hits"] > 0, options
+            assert signature["misses"] == profile["signature_misses"], options
+            assert signature["dedupes"] == profile["signature_dedupes"], \
+                options
+            if not options:
+                # serially the coordinator's table saw every probe itself
+                table = session.validator.signature_cache
+                assert signature["hits"] == table.hits
+                assert signature["misses"] == table.misses
 
 
 class TestShardedDeltaMachinery:
