@@ -9,8 +9,8 @@ benchmark drives the fleet through the session API, reports the mean warm
 round, and gates:
 
 * **per-round byte identity**: identical community workloads take the same
-  sequence of delta + full-verdict-sweep rounds through serial, ``--jobs 2``
-  and ``--shards 2`` sessions; each round's :class:`DeltaResponse` and every
+  sequence of delta + full-verdict-sweep rounds through serial and
+  ``--shards 2`` sessions; each round's :class:`DeltaResponse` and every
   default (reason-less) verdict response must serialise byte-identically,
 * **fleet health**: the fleet must finish with zero respawns and the same
   worker pids it started with — warm rounds must come from residency, not
@@ -82,11 +82,10 @@ def _verdict_blob(session, nodes):
 
 
 def run_fleet_rounds(scale: int, rounds: int, seed: int) -> dict:
-    """Identical delta + verdict-sweep rounds through three sessions; the
-    ``shards2`` rounds are timed."""
+    """Identical delta + verdict-sweep rounds through a serial and a
+    sharded session; the ``shards2`` rounds are timed."""
     modes = [
         ("serial", {}),
-        ("jobs2", {"jobs": 2}),
         ("shards2", {"shards": 2}),
     ]
     sessions = {}
@@ -265,7 +264,7 @@ def main(argv=None) -> int:
     failures = []
     if not row["byte_identical"]:
         failures.append(f"{row['byte_mismatch_rounds']} rounds were not "
-                        "byte-identical across serial/jobs/shards")
+                        "byte-identical across serial/shards")
     if not row["fleet_pids_stable"]:
         failures.append("resident fleet pids changed mid-benchmark")
     if row["fleet_respawns"]:
@@ -290,6 +289,9 @@ def main(argv=None) -> int:
     result = {
         "benchmark": "fleet",
         "quick": args.quick,
+        "scale": scale,
+        # every fleet gate runs at every scale
+        "gates_checked": True,
         "fleet_rounds": row,
         "heal_round": heal,
         "failures": failures,

@@ -107,6 +107,10 @@ def _headline_hotpath(data: Dict[str, Any]) -> List[str]:
     if signature:
         lines.append(f"signature hit rate {_fmt(signature.get('hit_rate', 0.0))} "
                      f"over {_fmt(signature.get('signatures', 0))} signatures")
+    probe = data.get("backtracking_probe", {})
+    if probe:
+        lines.append("backtracking probe backtrack_time "
+                     f"{_fmt(probe.get('backtrack_time', 0.0))}s")
     return lines
 
 
@@ -139,19 +143,20 @@ def render(paths: List[Path]) -> str:
         "One row per committed benchmark artifact (`BENCH_*.json`); regenerate "
         "with `python benchmarks/report.py`.",
         "",
-        "| benchmark | gate | headline |",
-        "|---|---|---|",
+        "| benchmark | scale | gate | headline |",
+        "|---|---|---|---|",
     ]
     for path in paths:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as error:
-            lines.append(f"| {path.name} | **unreadable** | {error} |")
+            lines.append(f"| {path.name} | — | **unreadable** | {error} |")
             continue
         name = data.get("benchmark", path.stem.replace("BENCH_", ""))
         extractor = _EXTRACTORS.get(name)
         headline = extractor(data) if extractor else _headline_generic(data)
-        lines.append(f"| {name} | {_gate(data)} | {'; '.join(headline) or '—'} |")
+        lines.append(f"| {name} | {data.get('scale', '—')} | {_gate(data)} "
+                     f"| {'; '.join(headline) or '—'} |")
     lines.append("")
     return "\n".join(lines)
 

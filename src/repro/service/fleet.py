@@ -14,18 +14,21 @@ session, the way a serving fleet keeps model replicas warm:
   the revalidation *work* is hash-partitioned by subject ownership,
 * only **settled** verdicts ever travel back to the coordinator, together
   with the replica's :class:`~repro.shex.results.MatchStats` delta, under
-  the same merge rule as the SCC scheduler
+  the settled-verdict merge rule
   (:func:`repro.shex.validator.merge_settled`).
 
 The coordinator talks to each worker over an explicit request/response queue
 pair.  Commands: ``load`` (replica + warm full run), ``apply`` (one delta
-batch), ``check`` (can a restricted round be answered without mutating?),
-``revalidate`` (the shard-local incremental round), ``run`` (full owned
-re-run on the resident replica), ``verdicts`` (baseline lookups), ``stats``
-and ``shutdown``.  ``check`` before ``revalidate`` makes the round
+batch), ``check`` (can a restricted round be answered without mutating,
+and has this replica changed since its baseline?), ``revalidate`` (the
+shard-local incremental round), ``run`` (full owned re-run on the resident
+replica), ``verdicts`` (baseline lookups), ``stats`` and ``shutdown``.  ``check`` before ``revalidate`` makes the round
 two-phase: a journal overflow on *one* shard surfaces as a typed fallback
 before *any* shard has advanced its baseline, so sibling shards are never
-corrupted by a partial round.
+corrupted by a partial round.  It also names the shards with nothing to
+revalidate (a replica warm-loaded by a heal, or one that finished an
+attempt another shard's death aborted): they skip ``revalidate``, so a
+retried round re-runs only the shards that did not finish.
 
 Worker death is detected by polling liveness while waiting for a response
 and surfaces as a typed 503 (``fleet-worker-died``); the next fleet
@@ -41,7 +44,7 @@ import queue
 import sys
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..rdf.graph import Graph
 from ..shex.results import MatchStats
@@ -94,7 +97,7 @@ class _ShardReplica:
             self.graph.add_all(triples)
         self.validator = Validator(
             self.graph, schema, engine=_engine_from_spec(engine_spec),
-            shared_context=True, jobs=1,
+            shared_context=True,
             precompile=compiled is not None, compiled=compiled,
             max_recursion_depth=max_recursion_depth,
             subject_filter=_OwnedBy(shards, shard_index),
@@ -131,13 +134,15 @@ class _ShardReplica:
                 self.graph.remove_all(remove)
         return self.graph.generation
 
-    def check(self, labels) -> Optional[Tuple[str, str]]:
+    def check(self, labels) -> Union[bool, Tuple[str, str]]:
         """Phase 1 of a restricted round: answerable without mutating?
 
-        Returns ``None`` when the shard-local baseline and journal can
-        answer an incremental round, else the ``(reason, message)`` the
-        coordinator should raise as :class:`IncrementalFallback` — *before*
-        any shard's baseline has moved.
+        Returns the ``(reason, message)`` the coordinator should raise as
+        :class:`IncrementalFallback` — *before* any shard's baseline has
+        moved — when the shard-local baseline or journal cannot answer an
+        incremental round.  Otherwise returns whether the replica changed
+        since its baseline: ``False`` means the baseline is already current
+        and the round needs no ``revalidate`` here.
         """
         validator = self.validator
         label_tuple = tuple(labels) if labels \
@@ -146,12 +151,13 @@ class _ShardReplica:
             return ("no-baseline",
                     f"shard {self.shard_index} has no usable incremental "
                     "baseline; a full run is required")
-        if self.graph.changes_since(validator._incremental_generation) is None:
+        dirty = self.graph.changes_since(validator._incremental_generation)
+        if dirty is None:
             return ("journal-overflow",
                     f"shard {self.shard_index}'s change journal overflowed "
                     "since its baseline; the change set is unknowable and a "
                     "full run is required")
-        return None
+        return bool(dirty)
 
     def revalidate(self, labels) -> Tuple[list, list, list, MatchStats]:
         """The shard-local revalidate loop; returns only the affected delta.
@@ -463,19 +469,25 @@ class ShardFleet:
         raise RuntimeError(f"shard {worker.index} worker error: {value}")
 
     def broadcast(self, command: str, payloads, *, per_worker: bool = False,
-                  tolerate_death: bool = False) -> List[Any]:
+                  tolerate_death: bool = False,
+                  workers: Optional[Sequence[_FleetWorker]] = None
+                  ) -> List[Any]:
         """Send to every live worker first, then collect — true parallelism.
 
-        ``payloads`` is one shared payload, or (``per_worker=True``) a list
-        indexed by shard.  Responses are unwrapped like :meth:`request`; the
-        first fallback or error wins, but every outstanding response is
-        drained first so the queues stay aligned with the command stream.
+        ``workers`` narrows the broadcast to a subset (default: the whole
+        fleet).  ``payloads`` is one shared payload, or (``per_worker=True``)
+        a list indexed by shard.  Responses are unwrapped like
+        :meth:`request`; the first fallback or error wins, but every
+        outstanding response is drained first so the queues stay aligned
+        with the command stream.
         With ``tolerate_death=True`` a worker dying mid-broadcast is only
         *marked* failed (for later respawn) instead of failing the call —
         used when staging deltas, where the surviving replicas must keep up
         regardless.
         """
-        targets = [worker for worker in self.workers if not worker.failed]
+        targets = [worker for worker in (self.workers if workers is None
+                                         else workers)
+                   if not worker.failed]
         if not targets:
             raise ServiceError(
                 "fleet-worker-died",

@@ -1,23 +1,22 @@
 """Hash-sharded bulk validation: the service's scale-out scheduler.
 
-:class:`ShardedValidator` partitions the *subjects* (not the reference-graph
-components) across worker processes by a deterministic hash of their
-N-Triples rendering (:func:`shard_of`), so a graph whose reference structure
-collapses into few big components — where the SCC scheduler degenerates to
-serial — still spreads across ``shards`` workers.
+:class:`ShardedValidator` is the one multi-process validation path.  It
+partitions the *subjects* across worker processes by a deterministic hash of
+their N-Triples rendering (:func:`shard_of`), so the split does not depend
+on the graph's reference structure.
 
 The shard workers are a resident :class:`~repro.service.fleet.ShardFleet`
 that lives for the validator's lifetime.  Each worker owns a full
 shard-local graph replica with its own bounded journal and a maintained
 baseline restricted to the subjects it owns; deltas are broadcast to the
 replicas and each worker runs the revalidate loop locally, so warm rounds
-cost queue round-trips instead of process forks and snapshot pickling.
+cost queue round-trips instead of process forks.
 
 Correctness rides entirely on the settled-verdict merge rule
-(:func:`repro.shex.validator.merge_settled`, shared with the SCC
-scheduler): each worker derives cross-shard reference targets locally from
-shard-local state when they are not already settled, and only the verdicts
-its context **settled** merge back into the coordinator's shared context.
+(:func:`repro.shex.validator.merge_settled`): each worker derives
+cross-shard reference targets locally from shard-local state when they are
+not already settled, and only the verdicts its context **settled** merge
+back into the coordinator's shared context.
 Provisional, hypothesis-dependent and budget-poisoned state never crosses a
 process boundary — so verdicts are identical to the serial path by the same
 argument (``docs/architecture.md``, "settled-verdict merge rule").
@@ -46,12 +45,12 @@ __all__ = ["ShardedValidator", "shard_of"]
 
 
 class ShardedValidator(Validator):
-    """A :class:`Validator` whose parallel scheduler shards by subject hash.
+    """A :class:`Validator` that runs on a resident fleet of shard workers.
 
     Both ``validate_graph`` and ``revalidate`` route through the overridden
-    ``_run_parallel``, so full runs and incremental rounds shard the same
-    way.  ``shards <= 1`` (or too little work) falls back to the inherited
-    behaviour.  The shard workers are a persistent
+    ``_run_parallel`` hook, so full runs and incremental rounds shard the
+    same way.  ``shards <= 1`` (or too little work) falls back to the
+    inherited serial path.  The shard workers are a persistent
     :class:`~repro.service.fleet.ShardFleet`; call :meth:`close_fleet` (or
     let the owning session's ``close`` do it) to release the processes.
     """
@@ -63,8 +62,6 @@ class ShardedValidator(Validator):
                  **kwargs):
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        # the parallel entry points trigger on jobs > 1; one worker per shard
-        kwargs.setdefault("jobs", shards if shards > 1 else 1)
         super().__init__(*args, **kwargs)
         self.shards = shards
         self._fleet: Optional[ShardFleet] = None
@@ -80,16 +77,37 @@ class ShardedValidator(Validator):
         self._fleet_labels: Optional[Tuple[ShapeLabel, ...]] = None
 
     # -- dispatch -------------------------------------------------------------
-    def _run_parallel(self, label_list: Sequence[ShapeLabel], jobs: int,
+    def _run_parallel(self, label_list: Sequence[ShapeLabel],
                       restrict: Optional[FrozenSet[ObjectTerm]] = None,
                       ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
                                          ValidationReportEntry]]:
         if self.shards <= 1:
-            return super()._run_parallel(label_list, jobs, restrict)
+            return None
         self._check_parallel()
         if restrict is None:
             return self._fleet_full_run(label_list)
         return self._fleet_delta_run(label_list, restrict)
+
+    def _check_parallel(self) -> None:
+        """Refuse the configurations the shard fleet cannot run."""
+        if not self.shared_context:
+            raise ValueError(
+                "sharded bulk validation shares settled verdicts across "
+                "processes and is incompatible with shared_context=False "
+                "(the per-node baseline); use shards=1 instead"
+            )
+        if self.subject_filter is not None:
+            raise ValueError(
+                "sharded bulk validation is incompatible with a "
+                "subject_filter (shard workers validate their owned subset "
+                "serially); use shards=1 instead"
+            )
+        if self._worker_engine_spec is None:
+            raise ValueError(
+                "sharded bulk validation needs an engine constructible by "
+                "name ('derivatives' or 'backtracking') so worker processes "
+                "can rebuild it; engine objects cannot be shipped"
+            )
 
     # -- resident fleet: lifecycle --------------------------------------------
     def _ensure_fleet(self) -> ShardFleet:
@@ -182,7 +200,11 @@ class ShardedValidator(Validator):
         anything*; only then does the ``revalidate`` broadcast run.  A
         journal overflow on one shard therefore surfaces as a typed
         :class:`IncrementalFallback` while every sibling's baseline is still
-        intact.
+        intact.  The broadcast skips shards whose replica has not changed
+        since its baseline — one just healed, or one that finished an
+        attempt of this round before another shard died — so a retried
+        round never re-runs a shard that already answered it; their pairs
+        come from their baselines below.
         """
         fleet = self._fleet
         labels = tuple(label_list)
@@ -194,8 +216,8 @@ class ShardedValidator(Validator):
                or not worker.process.is_alive() for worker in fleet.workers):
             # heal: respawn + warm-load dead workers from the coordinator's
             # current graph (the delta was already applied to it), leaving
-            # healthy replicas warm.  The reloaded shard's round below is a
-            # no-op delta; its verdicts are pulled from its fresh baseline.
+            # healthy replicas warm.  The reloaded shard has nothing to
+            # revalidate; its verdicts are pulled from its fresh baseline.
             self._heal_workers(fleet, labels)
         if self._fleet_generation != self.graph.generation \
                 or self._fleet_labels != labels:
@@ -206,14 +228,17 @@ class ShardedValidator(Validator):
 
         checks = fleet.broadcast("check", list(labels))
         for outcome in checks:
-            if outcome is not None:
+            if isinstance(outcome, tuple):
                 raise IncrementalFallback(outcome[0], outcome[1])
-        outcomes = fleet.broadcast("revalidate", list(labels))
+        changed = [worker for worker, dirty in zip(fleet.workers, checks)
+                   if dirty]
+        outcomes = (fleet.broadcast("revalidate", list(labels),
+                                    workers=changed) if changed else [])
         context = self._bulk_context()
         entries = merge_settled(context, outcomes)
 
         # coverage: the caller needs every (affected subject × label) pair.
-        # A freshly healed shard reports an empty delta — pull the missing
+        # A shard the broadcast skipped reported no delta — pull the missing
         # pairs from its maintained baseline instead.
         subject_set = set(self.graph.nodes())
         wanted = [(node, label) for node in restrict if node in subject_set

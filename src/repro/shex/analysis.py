@@ -372,14 +372,13 @@ def schema_dependency_graph(schema: Schema) -> nx.DiGraph:
 def recursive_labels(schema: Schema) -> FrozenSet[ShapeLabel]:
     """Return the labels involved in at least one reference cycle."""
     graph = schema_dependency_graph(schema)
+    condensation = nx.condensation(graph)
     recursive: set = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            recursive.update(component)
-        else:
-            (only,) = component
-            if graph.has_edge(only, only):
-                recursive.add(only)
+    for component_index in condensation:
+        members = condensation.nodes[component_index]["members"]
+        if len(members) > 1 or any(graph.has_edge(label, label)
+                                   for label in members):
+            recursive.update(members)
     return frozenset(recursive)
 
 

@@ -28,8 +28,8 @@ context — so every prefilter verdict is **definitive** (safe to cache, safe
 to share across processes), and shape-reference arcs are never screened, so
 hypothesis-dependent outcomes always fall through to the full engine.
 
-A :class:`CompiledSchema` is picklable: parallel workers receive the parent's
-compiled tables once per process instead of recompiling them.
+A :class:`CompiledSchema` is picklable: resident shard workers receive the
+parent's compiled tables once per process instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -341,8 +341,8 @@ class CompiledSchema:
 
     Build one per :class:`~repro.shex.schema.Schema` (the
     :class:`~repro.shex.validator.Validator` does this by default) and thread
-    it through validation contexts; workers of the parallel bulk path receive
-    it pickled instead of recompiling.
+    it through validation contexts; resident shard workers receive it pickled
+    instead of recompiling.
     """
 
     def __init__(self, schema: Schema):

@@ -501,7 +501,7 @@ class ValidationContext:
         """Import **settled** verdicts established by another context.
 
         This is the only way verdicts may cross context (and process)
-        boundaries during parallel bulk validation, and it is sound precisely
+        boundaries during sharded bulk validation, and it is sound precisely
         because only *definitive* verdicts are accepted: confirmed pairs were
         established with no outstanding hypothesis, refuted pairs failed on
         their own neighbourhood, and both are order-independent facts about

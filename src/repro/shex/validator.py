@@ -16,10 +16,7 @@ surrounding code stays identical.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from time import perf_counter
 from typing import (
     Callable,
@@ -35,9 +32,8 @@ from typing import (
     Union,
 )
 
-from ..rdf.errors import StaleSnapshotError
-from ..rdf.graph import Graph, NeighbourhoodSnapshot
-from ..rdf.terms import Literal, ObjectTerm, SubjectTerm
+from ..rdf.graph import Graph
+from ..rdf.terms import ObjectTerm, SubjectTerm
 from .backtracking import BacktrackingEngine
 from .cache import DerivativeCache, SignatureCache
 from .compiled import CompiledSchema
@@ -204,12 +200,6 @@ class Validator:
         next call when the graph has changed.
     max_recursion_depth:
         recursion budget handed to every context this validator creates.
-    jobs:
-        default worker-process count for ``validate_graph``.  With
-        ``jobs > 1`` the graph is partitioned by strongly-connected component
-        of its node reference graph (:mod:`repro.shex.partition`) and
-        independent components are validated concurrently; ``1`` (the
-        default) keeps the serial bulk path.
     precompile:
         build a :class:`~repro.shex.compiled.CompiledSchema` for the schema
         (default True) and thread it through every context this validator
@@ -255,7 +245,6 @@ class Validator:
                  engine: Union[str, object, None] = None,
                  shared_context: bool = True,
                  max_recursion_depth: int = 500,
-                 jobs: int = 1,
                  precompile: bool = True,
                  compiled: Optional[CompiledSchema] = None,
                  subject_filter: Optional[Callable[[SubjectTerm], bool]] = None,
@@ -266,7 +255,6 @@ class Validator:
         self.engine = get_engine(engine, **engine_options)
         self.shared_context = shared_context
         self.max_recursion_depth = max_recursion_depth
-        self.jobs = jobs
         #: restricts which subjects appear in bulk reports and the maintained
         #: baseline.  A resident shard worker validates (and maintains) only
         #: the subjects it owns; reference targets outside the filter are
@@ -480,26 +468,31 @@ class Validator:
         return [node for node in nodes
                 if self.validate_node(node, label, context=context).conforms]
 
-    def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None,
-                       jobs: Optional[int] = None) -> ValidationReport:
+    def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None
+                       ) -> ValidationReport:
         """Validate every subject node against every (or the given) labels.
 
-        ``jobs`` overrides the validator's default worker count for this
-        call.  With more than one job the reference graph is partitioned by
-        strongly-connected component and independent components are validated
-        across worker processes; verdicts are identical to the serial bulk
-        path (up to recursion-budget edge cases — see
-        ``docs/architecture.md``).
+        Runs the serial bulk path unless the multi-process hook
+        (:meth:`_run_parallel`, overridden by the resident shard fleet's
+        :class:`~repro.service.sharding.ShardedValidator`) answers the run;
+        verdicts are identical either way.
         """
         if self.schema is None:
             raise SchemaError("validate_graph requires a schema")
         label_list = [self._resolve_label(label) for label in labels] if labels \
             else list(self.schema.labels())
-        n_jobs = self.jobs if jobs is None else jobs
-        if n_jobs is not None and n_jobs > 1:
-            report = self._validate_graph_parallel(label_list, n_jobs)
-        else:
+        entries = self._run_parallel(label_list)
+        if entries is None:
             report = self._validate_graph_serial(label_list)
+        else:
+            report = ValidationReport(entries=[
+                entries[(node, label)]
+                for node in sorted(self.graph.nodes(),
+                                   key=lambda term: term.sort_key())
+                for label in label_list])
+            report.typing = ShapeTyping.from_pairs(
+                (entry.node, entry.label) for entry in report.entries
+                if entry.conforms)
         self._record_incremental_baseline(label_list, report)
         return report
 
@@ -539,186 +532,19 @@ class Validator:
         )
         return report
 
-    def _validate_graph_parallel(self, label_list: Sequence[ShapeLabel],
-                                 jobs: int) -> ValidationReport:
-        """Validate reference-graph components concurrently across processes.
-
-        The scheduler walks the condensation of the node reference graph
-        level by level (each level is an antichain of mutually-independent
-        components), validates whole components as units in worker processes,
-        and lets only **settled** verdicts cross process boundaries: each
-        task is seeded with the settled verdicts of the components it
-        references, and each worker reports back the verdicts its context
-        settled.  Provisional (hypothesis-dependent) state and derivative
-        caches stay worker-local.
-        """
-        entries = self._run_parallel(label_list, jobs)
-        if entries is None:
-            # zero or one strongly-connected component: there is no
-            # independent work to spread, so degenerate gracefully to the
-            # serial bulk path instead of paying for an idle process pool.
-            return self._validate_graph_serial(label_list)
-        subjects = sorted(self.graph.nodes(), key=lambda term: term.sort_key())
-        report = ValidationReport()
-        conforming: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        for node in subjects:
-            for label in label_list:
-                entry = entries[(node, label)]
-                report.entries.append(entry)
-                if entry.conforms:
-                    conforming.append((node, label))
-        report.typing = ShapeTyping.from_pairs(conforming)
-        return report
-
-    def _check_parallel(self) -> None:
-        """Refuse the configurations no multi-process scheduler can run."""
-        if not self.shared_context:
-            raise ValueError(
-                "parallel bulk validation shares settled verdicts across "
-                "processes and is incompatible with shared_context=False "
-                "(the per-node baseline); use jobs=1 instead"
-            )
-        if self.subject_filter is not None:
-            raise ValueError(
-                "parallel bulk validation is incompatible with a "
-                "subject_filter (shard workers validate their owned subset "
-                "serially); use jobs=1 instead"
-            )
-        if self._worker_engine_spec is None:
-            raise ValueError(
-                "parallel bulk validation needs an engine constructible by "
-                "name ('derivatives' or 'backtracking') so worker processes "
-                "can rebuild it; engine objects cannot be shipped"
-            )
-
-    def _run_parallel(self, label_list: Sequence[ShapeLabel], jobs: int,
+    def _run_parallel(self, label_list: Sequence[ShapeLabel],
                       restrict: Optional[FrozenSet[ObjectTerm]] = None,
                       ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
                                          ValidationReportEntry]]:
-        """Run the parallel scheduler; return the per-pair entries.
+        """The multi-process hook: per-pair entries, or ``None`` for serial.
 
-        With ``restrict`` (incremental revalidation's affected closure) the
-        partition covers only the affected subgraph — its vertices, edges
-        and worker snapshot are proportional to the closure, never to the
-        graph — and only restricted nodes get work pairs; the settled
-        verdicts of everything a restricted component depends on (external
-        targets, unrestricted members) are *seeded* into its batches exactly
-        like upstream components in a full run — the merge protocol does not
-        care whether a settled fact comes from another component or from a
-        previous run.  Returns ``None`` when the partition degenerates
-        (≤ 1 component) and the caller should use the serial path.
+        The base validator is single-process and always answers ``None``.
+        :class:`~repro.service.sharding.ShardedValidator` overrides it to
+        run the resident shard fleet: a full run when ``restrict`` is
+        ``None``, else an incremental round over ``restrict`` (the affected
+        closure), returning at least every affected subject's pairs.
         """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .partition import partition_reference_graph
-
-        self._check_parallel()
-        spec = self._worker_engine_spec
-
-        # the compiled schema tightens the partition (references whose target
-        # the prefilter settles locally need no scheduling edge) and ships to
-        # every worker so nothing is recompiled per process.
-        compiled = self.compiled
-        # verdicts settled by earlier runs carry over, exactly as in the
-        # serial shared-context path; new ones merge in as each task ends.
-        context = self._bulk_context()
-        generation = getattr(self.graph, "generation", None)
-        scan: Optional[Set[ObjectTerm]] = None
-        if restrict is not None:
-            index = self._schema_reference_index()
-            scan = self._restrict_scan_set(restrict, context, index)
-            partition = partition_reference_graph(
-                self.graph, self.schema, compiled=compiled,
-                restrict_to=scan, index=index)
-        else:
-            partition = partition_reference_graph(
-                self.graph, self.schema, compiled=compiled,
-                index=self._schema_reference_index())
-        if len(partition.components) <= 1:
-            return None
-        subject_set = set(self.graph.nodes())
-
-        # per-component work lists: report pairs for subjects, plus the
-        # labels incoming references may demand of any node.
-        component_pairs: List[List[Tuple[ObjectTerm, ShapeLabel]]] = []
-        for component in partition.components:
-            pairs: List[Tuple[ObjectTerm, ShapeLabel]] = []
-            for node in sorted(component, key=lambda term: term.sort_key()):
-                if restrict is not None and node not in restrict:
-                    # scan-expansion (or demanded) node: work pairs only for
-                    # the demanded labels the context has not settled —
-                    # settled ones are seeded below instead.
-                    wanted = [
-                        label
-                        for label in sorted(partition.demanded.get(node, ()))
-                        if not context.is_confirmed(node, label)
-                        and not context.is_failed(node, label)
-                    ]
-                else:
-                    wanted = list(label_list) if node in subject_set else []
-                    for label in sorted(partition.demanded.get(node, ())):
-                        if label not in wanted:
-                            wanted.append(label)
-                pairs.extend((node, label) for label in wanted)
-            component_pairs.append(pairs)
-
-        # the snapshot must describe the same graph the partition was derived
-        # from: if anything mutated the graph between partitioning and
-        # capture, the stamped generation moves past the one recorded above.
-        snapshot = self.graph.snapshot(partition.nodes)
-        if snapshot.generation != generation:
-            raise StaleSnapshotError(
-                f"graph mutated during parallel scheduling (generation "
-                f"{generation} -> {snapshot.generation}); re-run validation"
-            )
-        # the signature cache itself stays parent-local (verdict tables must
-        # not cross process boundaries); workers rebuild a private one from
-        # this recipe, exactly like the derivative cache.
-        signature_cache = self.signature_cache
-        signature_spec = ((True, signature_cache.max_entries)
-                          if signature_cache is not None else None)
-        init_args = (self.schema, spec, snapshot, self.max_recursion_depth,
-                     sys.getrecursionlimit(), compiled, signature_spec)
-        entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        schema_labels = tuple(self.schema.labels())
-        workers = min(jobs, len(partition.components))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_parallel_worker_init,
-                                 initargs=init_args) as pool:
-            for level in partition.levels:
-                futures = []
-                for batch in _balance_batches(level, component_pairs, jobs):
-                    pairs = [pair for comp_index in batch
-                             for pair in component_pairs[comp_index]]
-                    if not pairs:
-                        continue
-                    # seed the task with every settled verdict about the
-                    # nodes this batch references outside itself — plus, on
-                    # restricted runs, the still-valid verdicts of batch
-                    # members that need no re-run.
-                    targets: set = set()
-                    for comp_index in batch:
-                        targets.update(partition.external_targets[comp_index])
-                        if restrict is not None:
-                            targets.update(
-                                node for node in partition.components[comp_index]
-                                if node not in restrict
-                            )
-                    batch_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-                    batch_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-                    for node in targets:
-                        for label in schema_labels:
-                            if context.is_confirmed(node, label):
-                                batch_confirmed.append((node, label))
-                            elif context.is_failed(node, label):
-                                batch_failed.append((node, label))
-                    futures.append(pool.submit(
-                        _parallel_worker_run, pairs, batch_confirmed, batch_failed))
-                # merged verdicts seed the context, and from it the
-                # batches of every later level
-                for future in futures:
-                    merge_settled(context, [future.result()], entries)
-        return entries
+        return None
 
     # -- session hooks --------------------------------------------------------------
     @property
@@ -750,7 +576,6 @@ class Validator:
 
     # -- incremental revalidation --------------------------------------------------
     def revalidate(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None,
-                   jobs: Optional[int] = None,
                    allow_full_rebuild: bool = True) -> RevalidationResult:
         """Revalidate only what the graph's mutations can have changed.
 
@@ -759,9 +584,9 @@ class Validator:
         reverse reference-reachability (:func:`repro.shex.partition.affected_nodes`),
         the shared context drops exactly those nodes' settled verdicts
         (:meth:`ValidationContext.retract_nodes`), and only the affected
-        subjects are re-run — through the serial bulk loop or, with
-        ``jobs > 1``, through the parallel scheduler restricted to the
-        affected components.  Everything else (the context's settled
+        subjects are re-run — through the serial lane loop, or through the
+        multi-process hook (:meth:`_run_parallel`) restricted to the
+        affected closure.  Everything else (the context's settled
         verdicts, the report entries and the entries of the persistent
         report typing, which is updated by ``without_nodes`` plus
         ``combine``) is reused as-is.
@@ -780,12 +605,11 @@ class Validator:
         label_list = tuple(
             self._resolve_label(label) for label in labels
         ) if labels else tuple(self.schema.labels())
-        n_jobs = self.jobs if jobs is None else jobs
 
         def full_rebuild(reason: str, message: str) -> RevalidationResult:
             if not allow_full_rebuild:
                 raise IncrementalFallback(reason, message)
-            report = self.validate_graph(labels=label_list, jobs=n_jobs)
+            report = self.validate_graph(labels=label_list)
             return RevalidationResult(
                 report=report, delta=report, dirty=frozenset(),
                 affected=frozenset(entry.node for entry in report.entries),
@@ -835,18 +659,17 @@ class Validator:
         )
         new_entries: Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
                                    ValidationReportEntry]] = None
-        if n_jobs is not None and n_jobs > 1 and affected_subjects:
+        if affected_subjects:
             try:
-                new_entries = self._run_parallel(label_list, n_jobs,
-                                                 restrict=affected)
+                new_entries = self._run_parallel(label_list, restrict=affected)
             except IncrementalFallback as error:
-                # a scheduler (e.g. the resident shard fleet) declared the
-                # restricted run unanswerable; honour the caller's rebuild
-                # policy exactly like a coordinator-detected fallback.
+                # the resident shard fleet declared the restricted run
+                # unanswerable; honour the caller's rebuild policy exactly
+                # like a coordinator-detected fallback.
                 return full_rebuild(error.reason, str(error))
             except Exception:
-                # the scheduler died mid-round (a fleet worker crash, say):
-                # no baseline state has moved yet, but the context key was
+                # the fleet died mid-round (a worker crash, say): no
+                # baseline state has moved yet, but the context key was
                 # already advanced to the mutated generation.  Restore it to
                 # the baseline generation so the retained baseline stays
                 # usable and a retried round can still answer incrementally
@@ -892,40 +715,10 @@ class Validator:
             affected=affected, full_rebuild=False, retracted=retracted,
         )
 
-    def _restrict_scan_set(self, restrict: FrozenSet[ObjectTerm],
-                           context: ValidationContext,
-                           index) -> Set[ObjectTerm]:
-        """Expand a restricted closure over demanded-but-unsettled targets.
-
-        Workers re-running only ``restrict`` must be able to derive every
-        reference target whose demanded verdicts the context has NOT settled,
-        transitively: a seed cannot cover those, so they need work pairs,
-        scheduling edges and snapshot coverage like any closure member.
-        Typically the expansion is empty — a full baseline settles everything
-        it demands — but a label-subset baseline can leave demanded chains
-        unsettled.
-        """
-        scan = set(restrict)
-        frontier: List[ObjectTerm] = list(scan)
-        while frontier:
-            source = frontier.pop()
-            if isinstance(source, Literal):
-                continue
-            for triple in self.graph.triples(subject=source):
-                target = triple.object
-                if isinstance(target, Literal) or target in scan:
-                    continue
-                if any(not context.is_confirmed(target, label)
-                       and not context.is_failed(target, label)
-                       for label in index.labels_for(triple.predicate)):
-                    scan.add(target)
-                    frontier.append(target)
-        return scan
-
     def _schema_reference_index(self):
         """The schema's :class:`~repro.shex.partition.ReferenceIndex`, cached
-        per schema object so repeated revalidation rounds (and the parallel
-        scheduler) never re-walk the shape expressions."""
+        per schema object so repeated revalidation rounds never re-walk the
+        shape expressions."""
         from .partition import ReferenceIndex
 
         if self._reference_index is None \
@@ -990,8 +783,8 @@ def run_lanes(context: ValidationContext,
               ) -> List[ValidationReportEntry]:
     """Settle every ``(node, labels)`` group of ``work``; return the entries.
 
-    The one lane loop of every bulk scheduler (serial runs, incremental
-    rounds, SCC-parallel workers and the fleet's coordinator safety net).
+    The one lane loop of every bulk path (serial runs, incremental rounds,
+    the fleet's shard workers and its coordinator safety net).
     For each node, every label is first probed against the signature cache —
     the cached verdict is a pure function of the canonical neighbourhood
     signature for *any* label, so a repeated structure is answered in one
@@ -1058,9 +851,9 @@ def merge_settled(context: ValidationContext, outcomes: Iterable[tuple],
                                          ValidationReportEntry]] = None,
                   ) -> Dict[Tuple[ObjectTerm, ShapeLabel],
                             ValidationReportEntry]:
-    """The settled-verdict merge rule, shared by every multi-process scheduler.
+    """The settled-verdict merge rule of the resident shard fleet.
 
-    Each outcome is one worker's ``(entries, confirmed, failed, stats)``:
+    Each outcome is one shard worker's ``(entries, confirmed, failed, stats)``:
     its report entries go into ``entries`` (a new dict when not given, which
     is returned); its settled pairs are gathered first-wins (two workers may
     settle the same cross-boundary target, and the verdicts agree); its
@@ -1169,7 +962,7 @@ def _signature_store(context: ValidationContext, cache: SignatureCache,
     are stored verbatim; an engine failure's own reason names this node's
     triples, and which member of a signature class reaches the engine first
     depends on the scheduler, so the lanes pass a class-wide reason that
-    keeps reports identical across serial, ``--jobs`` and ``--shards`` runs.
+    keeps reports identical across serial and ``--shards`` runs.
     """
     if entry.limit_exceeded:
         return
@@ -1189,7 +982,7 @@ def _signature_store(context: ValidationContext, cache: SignatureCache,
     stats.signature_dedupes += 1
 
 
-# -- parallel scheduling helpers ---------------------------------------------------
+# -- shard worker engines -----------------------------------------------------------
 def _make_engine_spec(engine: Union[str, object, None],
                       engine_options: Mapping[str, object]) -> Optional[tuple]:
     """Build the picklable ``(name, options, cache_bound)`` worker recipe.
@@ -1199,7 +992,7 @@ def _make_engine_spec(engine: Union[str, object, None],
     must not cross process boundaries (each worker keeps a private one), so a
     cache instance is replaced by ``True`` plus its ``max_entries`` bound.
     Engine *objects* passed to the validator cannot be shipped; the spec is
-    ``None`` then and parallel validation refuses to run.
+    ``None`` then and sharded validation refuses to run.
     """
     if engine is not None and not isinstance(engine, str):
         return None
@@ -1220,105 +1013,3 @@ def _engine_from_spec(engine_spec: tuple):
     if options.get("cache") is True and cache_bound is not None:
         options["cache"] = DerivativeCache(max_entries=cache_bound)
     return get_engine(name, **options)
-
-
-def _balance_batches(level: Sequence[int],
-                     component_pairs: Sequence[Sequence[tuple]],
-                     jobs: int) -> List[List[int]]:
-    """Split one condensation level into at most ``jobs`` balanced batches.
-
-    Components in a level are mutually independent, so any grouping is
-    correct; longest-processing-time-first keeps the batches' work (number
-    of ``(node, label)`` pairs) even without creating one task per tiny
-    component.  Deterministic: ties break on component index.
-    """
-    count = min(max(jobs, 1), len(level))
-    if count == 0:
-        return []
-    ordered = sorted(level, key=lambda index: (-len(component_pairs[index]), index))
-    buckets: List[List[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for comp_index in ordered:
-        target = min(range(count), key=lambda bucket: (loads[bucket], bucket))
-        buckets[target].append(comp_index)
-        loads[target] += len(component_pairs[comp_index])
-    return [bucket for bucket in buckets if bucket]
-
-
-#: per-process worker state: ``(schema, engine, snapshot,
-#: max_recursion_depth, compiled, signature_cache, reference_index)``.
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _parallel_worker_init(schema: Schema, engine_spec: tuple,
-                          snapshot: NeighbourhoodSnapshot,
-                          max_recursion_depth: int,
-                          recursion_limit: int,
-                          compiled: Optional[CompiledSchema] = None,
-                          signature_spec: Optional[tuple] = None) -> None:
-    """Initialise one worker process for parallel bulk validation.
-
-    Runs once per worker: rebuilds the engine from its spec (so derivative
-    caches are worker-local but persist across that worker's tasks), adopts
-    the parent's recursion limit (deep reference chains recurse one Python
-    frame per hop), keeps the neighbourhood snapshot for every task, and
-    receives the parent's **compiled schema** — unpickled once, never
-    recompiled — so worker-side prefilter decisions match the scheduler's.
-    With ``signature_spec`` the worker also keeps a private
-    :class:`SignatureCache` across its tasks: signatures are pure functions
-    of the (snapshot, compiled schema) pair, so cross-task reuse inside one
-    worker is sound even though each task builds a fresh context.
-    """
-    global _WORKER_STATE
-    if recursion_limit > sys.getrecursionlimit():
-        sys.setrecursionlimit(recursion_limit)
-    engine = _engine_from_spec(engine_spec)
-    if compiled is not None:
-        cache = getattr(engine, "cache", None)
-        if cache is not None:
-            cache.adopt_atoms(compiled.atom_tables())
-    signature_cache = None
-    if signature_spec is not None:
-        signature_cache = SignatureCache(max_entries=signature_spec[1])
-    from .partition import ReferenceIndex
-
-    reference_index = ReferenceIndex(schema) if schema is not None else None
-    _WORKER_STATE = (schema, engine, snapshot, max_recursion_depth, compiled,
-                     signature_cache, reference_index)
-
-
-def _parallel_worker_run(
-    pairs: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-    seed_confirmed: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-    seed_failed: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-) -> tuple:
-    """Validate one batch of components inside a worker process.
-
-    A fresh :class:`ValidationContext` is built per task and seeded with the
-    settled verdicts of the components this batch references; after the
-    batch, only the verdicts the context *settled* are reported back (minus
-    the seeds).  Provisional entries — still conditional on an in-progress
-    hypothesis — and budget-poisoned outcomes never leave the worker, which
-    is what keeps the merge sound under recursion.
-    """
-    (schema, engine, snapshot, max_recursion_depth, compiled,
-     signature_cache, reference_index) = _WORKER_STATE
-    context = ValidationContext(snapshot, schema, engine.match_neighbourhood,
-                                max_recursion_depth=max_recursion_depth,
-                                compiled=compiled,
-                                reference_index=reference_index)
-    context.signature_cache = signature_cache
-    context.seed_settled(seed_confirmed, seed_failed)
-    # pairs arrive node-major: regroup them into the lane loop's
-    # ``(node, labels)`` runs so every scheduler applies one lane order
-    work = [(node, [label for _, label in group])
-            for node, group in groupby(pairs, key=itemgetter(0))]
-    entries = run_lanes(context, work)
-    confirmed, failed = context.settled_verdicts()
-    seeded = set(seed_confirmed)
-    seeded.update(seed_failed)
-    new_confirmed = [pair for pair in confirmed if pair not in seeded]
-    new_failed = [pair for pair in failed if pair not in seeded]
-    # the task context is fresh, so its stats are this task's profile delta;
-    # the coordinator merges them so per-phase counters survive --jobs runs.
-    return entries, new_confirmed, new_failed, context.stats

@@ -21,8 +21,9 @@ hot-path benchmark can measure the neighbourhood-signature verdict dedupe
 * ``ex:seeAlso`` arcs target empty-neighbourhood IRIs against the nullable,
   fully screenable ``<Note>`` shape, keeping a statically decidable
   reference in the mix.
-* Entities are singleton components and hubs only point downstream, so the
-  reference condensation is wide and shallow — friendly to ``--jobs 2``.
+* Hubs only point downstream at entities, so reference chains are one hop
+  deep: the traffic the serial lane loop serves best, and the shape of
+  KB data the ``kb-bulk`` benchmark workload measures.
 """
 
 from __future__ import annotations

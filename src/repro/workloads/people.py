@@ -219,11 +219,10 @@ def generate_community_workload(
     reference graph decomposes into one strongly-connected component per
     community (the valid members form a ring with ``knows_chords`` extra
     intra-ring edges each) plus upstream singletons (invalid members point
-    *into* their ring but nothing points back at them).  This is the workload
-    parallel bulk validation is designed for: components are independent, so
-    the condensation's first level contains one unit of real work per
-    community.  Ground truth stays local by construction, exactly as in
-    :func:`generate_person_workload`.
+    *into* their ring but nothing points back at them).  Many independent
+    recursive rings make it the reference-settlement stress test for the
+    serial and sharded bulk paths alike.  Ground truth stays local by
+    construction, exactly as in :func:`generate_person_workload`.
     """
     if not 0 <= invalid_fraction <= 1:
         raise ValueError("invalid_fraction must be between 0 and 1")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service import ShardedValidator
 from repro.shex import Validator
 from repro.shex.cache import DerivativeCache
 from repro.workloads import generate_person_workload
@@ -74,13 +75,19 @@ class TestBoundedCache:
         assert len(cache) == 0
 
     def test_bounded_cache_travels_to_parallel_workers(self):
-        # an instance with a bound is rebuilt per worker with the same bound
+        # an instance with a bound is rebuilt per shard worker with the
+        # same bound
         workload = generate_person_workload(num_people=12, seed=3)
         cache = DerivativeCache(max_entries=64)
         serial = Validator(workload.graph, workload.schema, cache=DerivativeCache())
-        parallel = Validator(workload.graph, workload.schema, cache=cache, jobs=2)
-        assert verdicts(parallel.validate_graph()) == \
-            verdicts(serial.validate_graph())
+        parallel = ShardedValidator(workload.graph, workload.schema,
+                                    cache=cache, shards=2)
+        assert parallel._worker_engine_spec[2] == 64
+        try:
+            assert verdicts(parallel.validate_graph()) == \
+                verdicts(serial.validate_graph())
+        finally:
+            parallel.close_fleet()
 
 
 class TestBoundedInternTables:

@@ -34,6 +34,18 @@ class TestParser:
         assert args.command == "validate"
         assert args.engine == "derivatives"
 
+    @pytest.mark.parametrize("command", [
+        ["validate", "--data", "d.ttl", "--schema", "s.shex", "--all-nodes"],
+        ["revalidate", "--data", "d.ttl", "--schema", "s.shex"],
+        ["serve", "--schema", "s.shex"],
+    ], ids=["validate", "revalidate", "serve"])
+    def test_jobs_flag_is_gone(self, command, capsys):
+        # the resident shard fleet (serve --shards) is the one
+        # multi-process path; --jobs is an unknown argument
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--jobs", "2"])
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_all_nodes_text_output(self, data_file, schema_file, capsys):
@@ -91,35 +103,16 @@ class TestValidateCommand:
         assert exit_code == 2
         assert "choose" in capsys.readouterr().err
 
-    def test_parallel_jobs_match_serial(self, data_file, schema_file, capsys):
-        serial = main(["validate", "--data", data_file, "--schema", schema_file,
-                       "--all-nodes", "--bulk", "--format", "summary"])
-        serial_out = capsys.readouterr().out
-        parallel = main(["validate", "--data", data_file, "--schema", schema_file,
-                         "--all-nodes", "--bulk", "--jobs", "2",
-                         "--format", "summary"])
-        parallel_out = capsys.readouterr().out
-        assert parallel == serial == 1  # :mary fails either way
-        assert parallel_out == serial_out
-
-    def test_jobs_rejects_per_node(self, data_file, schema_file, capsys):
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_cache_bound_is_a_usage_error(self, data_file,
+                                                      schema_file, capsys,
+                                                      bound):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--all-nodes", "--jobs", "2", "--per-node"])
+                          "--all-nodes", "--cache-max-entries", bound])
         assert exit_code == 2
-        assert "per-node" in capsys.readouterr().err
-
-    def test_jobs_rejects_shape_map_mode(self, data_file, schema_file, capsys):
-        exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--shape-map", "<http://example.org/john>@<Person>",
-                          "--jobs", "2"])
-        assert exit_code == 2
-        assert "whole-graph" in capsys.readouterr().err
-
-    def test_jobs_rejects_sparql_engine(self, data_file, schema_file, capsys):
-        exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--all-nodes", "--jobs", "2", "--engine", "sparql"])
-        assert exit_code == 2
-        assert "sparql" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: --cache-max-entries must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_cache_stats_are_printed_to_stderr(self, data_file, schema_file, capsys):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
@@ -203,6 +196,15 @@ class TestOtherCommands:
                           "--schema", schema_file])
         assert exit_code == 2
         assert "change set" in capsys.readouterr().err
+
+    def test_serve_rejects_nonpositive_cache_bound(self, data_file,
+                                                   schema_file, capsys):
+        exit_code = main(["serve", "--schema", schema_file, "--data", data_file,
+                          "--port", "0", "--cache-max-entries", "0"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "error: --cache-max-entries must be at least 1" in err
+        assert "listening" not in err
 
     def test_check_schema(self, schema_file, capsys):
         assert main(["check-schema", schema_file]) == 0

@@ -20,9 +20,9 @@ from repro.rdf import (
     Graph,
     GraphError,
     Literal,
-    StaleSnapshotError,
     Triple,
 )
+from repro.service import ShardedValidator
 from repro.shex import Validator
 from repro.shex.hamt import HamtMap
 from repro.shex.partition import ReferenceIndex, affected_nodes
@@ -209,30 +209,6 @@ class TestGraphJournalIntegration:
         graph.add_all(graph.triples(predicate=EX.p))
         assert len(graph) == 1
 
-    def test_mid_batch_snapshot_staleness_is_detected(self):
-        graph = Graph()
-        with graph.batch():
-            graph.add(Triple(EX.a, EX.p, Literal(1)))
-            snapshot = graph.snapshot()
-            graph.add(Triple(EX.b, EX.p, Literal(2)))
-            with pytest.raises(StaleSnapshotError):
-                snapshot.ensure_fresh(graph)
-
-
-class TestStaleSnapshot:
-    def test_fresh_snapshot_passes_and_chains(self):
-        graph = Graph(_triples((EX.a, EX.p, Literal(1))))
-        snapshot = graph.snapshot()
-        assert snapshot.ensure_fresh(graph) is snapshot
-
-    def test_stale_snapshot_raises(self):
-        graph = Graph(_triples((EX.a, EX.p, Literal(1))))
-        snapshot = graph.snapshot()
-        graph.add(Triple(EX.b, EX.p, Literal(2)))
-        with pytest.raises(StaleSnapshotError) as excinfo:
-            snapshot.ensure_fresh(graph)
-        assert "generation" in str(excinfo.value)
-
 
 # ----------------------------------------------------------------- HAMT dissoc
 class TestHamtDissoc:
@@ -289,7 +265,7 @@ class TestAffectedNodes:
         graph = Graph(_triples((EX.a, FOAF.age, Literal(3))))
         assert affected_nodes(graph, schema, {EX.a}) == {EX.a}
 
-    def test_closure_follows_reference_edges_backwards(self):
+    def test_closure_follows_reference_arcs_backwards(self):
         schema = person_schema()
         graph = Graph()
         chain = [EX.p0, EX.p1, EX.p2, EX.p3]
@@ -503,41 +479,21 @@ class TestRevalidate:
         result = validator.revalidate()  # same labels, resolved by default
         assert not result.full_rebuild
 
-    def test_restricted_partition_covers_only_the_affected_subgraph(self):
-        from repro.shex.partition import partition_reference_graph
-
-        workload = generate_community_workload(
-            num_communities=6, people_per_community=6, seed=13)
-        graph, schema = workload.graph, workload.schema
-        member = workload.valid_nodes[0]
-        closure = affected_nodes(graph, schema, {member})
-        full = partition_reference_graph(graph, schema)
-        restricted = partition_reference_graph(graph, schema,
-                                               restrict_to=closure)
-        # proportional to the closure, not the graph
-        assert len(restricted.nodes) < len(full.nodes)
-        assert closure <= set(restricted.nodes)
-        # the closure's SCCs coincide with the full partition's restriction
-        full_components = {
-            frozenset(component) for component in full.components
-            if set(component) & closure
-        }
-        restricted_components = {
-            frozenset(component) for component in restricted.components
-            if set(component) & closure
-        }
-        assert full_components == restricted_components
-
     def test_parallel_revalidate_matches_serial(self):
         workload = generate_community_workload(
             num_communities=6, people_per_community=6, seed=13)
         graph, schema = workload.graph, workload.schema
-        validator = Validator(graph, schema)
-        validator.validate_graph(jobs=2)
-        victim = workload.valid_nodes[0]
-        graph.add(Triple(victim, FOAF.age,
-                         Literal("bad", datatype=XSD.string)))
-        result = validator.revalidate(jobs=2)
+        validator = ShardedValidator(graph, schema, shards=2)
+        try:
+            validator.validate_graph()
+            victim = workload.valid_nodes[0]
+            edit = Triple(victim, FOAF.age,
+                          Literal("bad", datatype=XSD.string))
+            graph.add(edit)
+            validator.stage_fleet_delta([edit], [])
+            result = validator.revalidate()
+        finally:
+            validator.close_fleet()
         assert not result.full_rebuild
         assert _verdicts(result.report) == self._fresh_verdicts(graph, schema)
         assert result.report.typing == Validator(
@@ -546,8 +502,8 @@ class TestRevalidate:
     def test_parallel_revalidate_derives_unsettled_demanded_chains(self):
         # a label-subset baseline can leave demanded reference chains
         # unsettled: A demands B of o only after the edit, and (o, B) in
-        # turn recurses into t — the restricted scheduler must expand its
-        # subgraph (and worker snapshot) to cover the whole unsettled chain
+        # turn recurses into t — the shard that owns s must derive the
+        # whole unsettled chain from its replica
         from repro.shex import Schema
 
         schema = Schema.from_shexc("""
@@ -563,10 +519,15 @@ class TestRevalidate:
             graph.add(Triple(EX.o, EX.name, Literal("o")))
             graph.add(Triple(EX.o, EX.q, EX.t))
             graph.add(Triple(EX.t, EX.name, Literal("t")))
-        validator = Validator(graph, schema)
-        validator.validate_graph(labels=["A"], jobs=2)
-        graph.add(Triple(EX.s, EX.p, EX.o))
-        result = validator.revalidate(labels=["A"], jobs=2)
+        validator = ShardedValidator(graph, schema, shards=2)
+        try:
+            validator.validate_graph(labels=["A"])
+            edit = Triple(EX.s, EX.p, EX.o)
+            graph.add(edit)
+            validator.stage_fleet_delta([edit], [])
+            result = validator.revalidate(labels=["A"])
+        finally:
+            validator.close_fleet()
         assert not result.full_rebuild
         fresh = Validator(graph.copy(), schema).validate_graph(labels=["A"])
         assert _verdicts(result.report) == _verdicts(fresh)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import EX, XSD, Graph, Literal, Triple
+from repro.service import ShardedValidator
 from repro.shex import Schema, Validator
 from repro.shex.expressions import arc, interleave_all, optional, plus, star
 from repro.shex.node_constraints import DatatypeConstraint, shape_ref, value_set
@@ -78,31 +79,42 @@ def _verdicts(report):
     return {(entry.node, str(entry.label)): entry.conforms for entry in report}
 
 
-def _check_roundtrip(schema, initial, ops, jobs):
+def _check_roundtrip(schema, initial, ops, shards=0):
     graph = Graph(initial)
-    validator = Validator(graph, schema, jobs=jobs)
-    validator.validate_graph()
+    if shards > 1:
+        validator = ShardedValidator(graph, schema, shards=shards)
+    else:
+        validator = Validator(graph, schema)
+    # the fleet's replicas receive each edit the way a session stages it
+    stage = getattr(validator, "stage_fleet_delta", lambda add, remove: None)
 
     def checkpoint():
         result = validator.revalidate()
         fresh = Validator(graph.copy(), schema).validate_graph()
         assert _verdicts(result.report) == _verdicts(fresh), (
             f"revalidate verdicts diverge from a fresh run after "
-            f"{len(ops)} ops (jobs={jobs})"
+            f"{len(ops)} ops (shards={shards})"
         )
         assert result.report.typing == fresh.typing
         # the full report is canonically ordered like a fresh one
         assert [(e.node, e.label) for e in result.report.entries] \
             == [(e.node, e.label) for e in fresh.entries]
 
-    for kind, triple in ops:
-        if kind == "add":
-            graph.add(triple)
-        elif kind == "remove":
-            graph.discard(triple)
-        else:
-            checkpoint()
-    checkpoint()
+    try:
+        validator.validate_graph()
+        for kind, triple in ops:
+            if kind == "add":
+                graph.add(triple)
+                stage([triple], [])
+            elif kind == "remove":
+                graph.discard(triple)
+                stage([], [triple])
+            else:
+                checkpoint()
+        checkpoint()
+    finally:
+        if shards > 1:
+            validator.close_fleet()
 
 
 class TestRevalidateEquivalence:
@@ -111,14 +123,14 @@ class TestRevalidateEquivalence:
            initial=st.frozensets(st.sampled_from(UNIVERSE), max_size=10),
            ops=operations())
     def test_serial_revalidate_matches_fresh_full_run(self, schema, initial, ops):
-        _check_roundtrip(schema, initial, ops, jobs=1)
+        _check_roundtrip(schema, initial, ops)
 
     @settings(max_examples=6, deadline=None)
     @given(schema=schemas(),
            initial=st.frozensets(st.sampled_from(UNIVERSE), max_size=10),
            ops=operations())
     def test_parallel_revalidate_matches_fresh_full_run(self, schema, initial, ops):
-        _check_roundtrip(schema, initial, ops, jobs=2)
+        _check_roundtrip(schema, initial, ops, shards=2)
 
     @settings(max_examples=40, deadline=None)
     @given(schema=schemas(),

@@ -1,15 +1,15 @@
-"""Tests for parallel bulk validation (Validator(jobs=N)) and its plumbing."""
+"""Tests for multi-process bulk validation on the resident shard fleet
+(``ShardedValidator(shards=2)``) and the settled-verdict protocol it merges
+worker results by."""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
 from repro.rdf import EX, Graph
-from repro.rdf.errors import GraphError
 from repro.rdf.namespaces import FOAF
 from repro.rdf.terms import Literal, Triple
+from repro.service import ShardedValidator
 from repro.shex import BacktrackingEngine, Validator
 from repro.shex.schema import ValidationContext
 from repro.shex.typing import ShapeLabel
@@ -26,31 +26,19 @@ def verdicts(report):
     return {(entry.node, str(entry.label)): entry.conforms for entry in report}
 
 
-class TestNeighbourhoodSnapshot:
-    def test_snapshot_matches_graph_neighbourhoods(self):
-        graph = paper_example_graph()
-        snapshot = graph.snapshot()
-        for node in graph.nodes():
-            assert snapshot.neighbourhood(node) == graph.neighbourhood(node)
-            assert snapshot.neighbourhood_ordered(node) == \
-                graph.neighbourhood_ordered(node)
+@pytest.fixture
+def sharded():
+    """Build ``ShardedValidator(shards=2)`` instances; close their fleets."""
+    built = []
 
-    def test_snapshot_is_picklable(self):
-        graph = paper_example_graph()
-        snapshot = graph.snapshot()
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert len(clone) == len(snapshot)
-        for node in graph.nodes():
-            assert clone.neighbourhood(node) == graph.neighbourhood(node)
+    def make(graph, schema, **options):
+        validator = ShardedValidator(graph, schema, shards=2, **options)
+        built.append(validator)
+        return validator
 
-    def test_lookup_outside_the_snapshot_raises(self):
-        snapshot = paper_example_graph().snapshot(nodes=[EX.john])
-        with pytest.raises(GraphError):
-            snapshot.neighbourhood(EX.bob)
-
-    def test_snapshot_records_empty_neighbourhoods_explicitly(self):
-        snapshot = paper_example_graph().snapshot(nodes=[EX.john, EX.phantom])
-        assert snapshot.neighbourhood(EX.phantom) == frozenset()
+    yield make
+    for validator in built:
+        validator.close_fleet()
 
 
 class TestSettledVerdictProtocol:
@@ -100,22 +88,22 @@ class TestSettledVerdictProtocol:
 
 
 class TestParallelValidateGraph:
-    def test_paper_example_matches_serial(self):
+    def test_paper_example_matches_serial(self, sharded):
         graph = paper_example_graph()
         schema = person_schema()
         serial = Validator(graph, schema).validate_graph()
-        parallel = Validator(graph, schema, jobs=2).validate_graph()
+        parallel = sharded(graph, schema).validate_graph()
         assert verdicts(parallel) == verdicts(serial)
         # report ordering is canonical in both paths
         assert [(e.node, str(e.label)) for e in parallel.entries] == \
             [(e.node, str(e.label)) for e in serial.entries]
         assert parallel.typing == serial.typing
 
-    def test_community_workload_matches_serial_and_ground_truth(self):
+    def test_community_workload_matches_serial_and_ground_truth(self, sharded):
         workload = generate_community_workload(
             num_communities=4, people_per_community=6, seed=3)
         serial = Validator(workload.graph, workload.schema, cache=True)
-        parallel = Validator(workload.graph, workload.schema, cache=True, jobs=2)
+        parallel = sharded(workload.graph, workload.schema, cache=True)
         serial_verdicts = verdicts(serial.validate_graph())
         parallel_verdicts = verdicts(parallel.validate_graph())
         assert parallel_verdicts == serial_verdicts
@@ -123,33 +111,24 @@ class TestParallelValidateGraph:
         for node in workload.all_nodes:
             assert parallel_verdicts[(node, "Person")] == (node in valid)
 
-    def test_giant_scc_degenerates_to_serial(self):
-        # one strongly-connected component: nothing to parallelise, and the
-        # scheduler must fall back gracefully instead of deadlocking or
-        # paying for an idle pool
-        graph, _ = knows_cycle_graph(8)
-        validator = Validator(graph, person_schema(), jobs=4)
-        report = validator.validate_graph()
-        assert len(report) == 8
-        assert report.conforms
-
-    def test_disconnected_subjects_validate_in_parallel(self):
+    def test_disconnected_subjects_validate_in_parallel(self, sharded):
         graph = Graph()
         for i in range(6):
             node = EX[f"solo{i}"]
             graph.add(Triple(node, FOAF.age, Literal(20 + i)))
             graph.add(Triple(node, FOAF.name, Literal(f"Solo {i}")))
-        report = Validator(graph, person_schema(), jobs=2).validate_graph()
+        report = sharded(graph, person_schema()).validate_graph()
         assert report.conforms
         assert len(report) == 6
 
-    def test_mutation_then_revalidate_with_jobs(self):
+    def test_mutation_then_revalidate_with_shards(self, sharded):
         workload = generate_person_workload(num_people=12, seed=5)
-        validator = Validator(workload.graph, workload.schema, cache=True, jobs=2)
+        validator = sharded(workload.graph, workload.schema, cache=True)
         first = validator.validate_graph()
         victim = workload.valid_nodes[0]
         assert first.entry_for(victim).conforms
-        # a second age arc violates the exactly-one cardinality
+        # a second age arc violates the exactly-one cardinality; the
+        # replicas missed the edit, so the next full run reloads them
         workload.graph.add(Triple(victim, FOAF.age, Literal(999)))
         second = validator.validate_graph()
         assert not second.entry_for(victim).conforms
@@ -158,18 +137,18 @@ class TestParallelValidateGraph:
         third = validator.validate_graph()
         assert third.entry_for(victim).conforms
 
-    def test_backtracking_engine_agrees_in_parallel(self):
+    def test_backtracking_engine_agrees_in_parallel(self, sharded):
         workload = generate_community_workload(
             num_communities=3, people_per_community=4, seed=4)
         derivative = Validator(workload.graph, workload.schema, cache=True)
-        backtracking = Validator(workload.graph, workload.schema,
-                                 engine="backtracking", budget=5_000_000, jobs=2)
+        backtracking = sharded(workload.graph, workload.schema,
+                               engine="backtracking", budget=5_000_000)
         assert verdicts(backtracking.validate_graph()) == \
             verdicts(derivative.validate_graph())
 
-    def test_parallel_verdicts_merge_into_shared_context(self):
+    def test_parallel_verdicts_merge_into_shared_context(self, sharded):
         workload = generate_person_workload(num_people=10, seed=6)
-        validator = Validator(workload.graph, workload.schema, cache=True, jobs=2)
+        validator = sharded(workload.graph, workload.schema, cache=True)
         validator.validate_graph()
         context = validator._bulk_context()
         confirmed, failed = context.settled_verdicts()
@@ -179,23 +158,17 @@ class TestParallelValidateGraph:
         for node in workload.invalid_nodes:
             assert (node, label) in failed
 
-    def test_jobs_argument_overrides_the_default(self):
-        graph = paper_example_graph()
-        serial = Validator(graph, person_schema())
-        report = serial.validate_graph(jobs=2)
-        assert verdicts(report) == verdicts(serial.validate_graph(jobs=1))
-
 
 class TestTypingAgreement:
     """The HAMT swap must change no verdicts: every validation path builds
     the same typing on the recursive community workload."""
 
-    def test_serial_parallel_and_per_node_typings_are_identical(self):
+    def test_serial_parallel_and_per_node_typings_are_identical(self, sharded):
         workload = generate_community_workload(
             num_communities=3, people_per_community=6, seed=7)
         graph, schema = workload.graph, workload.schema
         serial = Validator(graph, schema, cache=True).validate_graph()
-        parallel = Validator(graph, schema, cache=True, jobs=2).validate_graph()
+        parallel = sharded(graph, schema, cache=True).validate_graph()
         per_node = Validator(graph, schema, shared_context=False).validate_graph()
         assert serial.typing.to_dict() == parallel.typing.to_dict()
         assert serial.typing.to_dict() == per_node.typing.to_dict()
@@ -219,15 +192,15 @@ class TestTypingAgreement:
 
 
 class TestParallelErrors:
-    def test_per_node_mode_is_rejected(self):
+    def test_per_node_mode_is_rejected(self, sharded):
         graph = paper_example_graph()
-        validator = Validator(graph, person_schema(), shared_context=False, jobs=2)
+        validator = sharded(graph, person_schema(), shared_context=False)
         with pytest.raises(ValueError, match="shared"):
             validator.validate_graph()
 
-    def test_engine_objects_are_rejected(self):
+    def test_engine_objects_are_rejected(self, sharded):
         graph = paper_example_graph()
-        validator = Validator(graph, person_schema(),
-                              engine=BacktrackingEngine(), jobs=2)
+        validator = sharded(graph, person_schema(),
+                            engine=BacktrackingEngine())
         with pytest.raises(ValueError, match="name"):
             validator.validate_graph()

@@ -29,9 +29,9 @@ def community():
         invalid_fraction=0.25, seed=11)
 
 
-def build_session(shards=0, jobs=1):
+def build_session(shards=0):
     workload = community()
-    session = ValidationSession(workload.graph, person_schema(), jobs=jobs,
+    session = ValidationSession(workload.graph, person_schema(),
                                 shards=shards)
     return workload, session
 

@@ -6,7 +6,7 @@ any random (schema, graph) pair, bulk validation with the cache on must
 produce exactly the verdicts of a run with the cache off.  The schemas
 drawn here include shape references (self- and mutually-recursive), the
 graphs include self-loops and cross-references, and the property is checked
-on the serial path, the ``--jobs 2`` SCC-parallel path and incremental
+on the serial path, the ``--shards 2`` resident fleet and incremental
 revalidation after a random mutation.
 
 A regression test rides along for the PR 1 stats contract: report entries
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rdf import EX, XSD, Literal, Triple
 from repro.rdf.columnar import ColumnarGraph
 from repro.rdf.graph import Graph
+from repro.service import ShardedValidator
 from repro.shex import Validator, arc, datatype, shape_ref, value_set
 from repro.shex.expressions import ShapeExpr, And, Or, Star
 from repro.shex.node_constraints import PredicateSet
@@ -86,8 +87,8 @@ def _verdicts(report):
     return {(entry.node, entry.label): entry.conforms for entry in report}
 
 
-def _run(graph, schema, *, cached: bool, jobs: int = 1):
-    validator = Validator(graph, schema, jobs=jobs,
+def _run(graph, schema, *, cached: bool):
+    validator = Validator(graph, schema,
                           signature_cache=None if cached else False)
     return validator, validator.validate_graph()
 
@@ -109,8 +110,13 @@ class TestSignatureDedupeIdentity:
 
     @settings(max_examples=8, deadline=None)
     @given(schema=schemas(), graph=graphs())
-    def test_jobs2_verdicts_identical(self, schema, graph):
-        _, cached = _run(graph, schema, cached=True, jobs=2)
+    def test_shards2_verdicts_identical(self, schema, graph):
+        # every shard worker keeps its own signature table
+        validator = ShardedValidator(graph, schema, shards=2)
+        try:
+            cached = validator.validate_graph()
+        finally:
+            validator.close_fleet()
         _, uncached = _run(graph, schema, cached=False)
         assert _verdicts(cached) == _verdicts(uncached)
 
