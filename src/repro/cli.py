@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .rdf import ColumnarGraph, Graph, ParseError, TripleStore
+from .rdf import Graph, ParseError
 from .service.api import ServiceError
 from .shex import Schema, SchemaError, Validator
 from .shex.cache import DerivativeCache
@@ -96,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "modes); verdicts are identical, this is the "
                                "measurement baseline for the hot-path "
                                "benchmark")
-    validate.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                          help="graph storage backend: 'dict' (hash-indexed, "
-                               "default) or 'columnar' (dictionary-encoded "
-                               "sorted int-id indexes with streaming ingest; "
-                               "verdicts are identical)")
     validate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                           default="text", dest="output_format")
     validate.add_argument("--include-stats", action="store_true",
@@ -135,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the unified ServiceStats counters and "
                                  "revalidation stats to stderr ('=json' for "
                                  "the machine-readable structure)")
-    revalidate.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                            help="graph storage backend (see 'validate --store')")
     revalidate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                             default="text", dest="output_format")
     revalidate.add_argument("--include-stats", action="store_true",
@@ -166,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "the first graph (validated at startup)")
     serve.add_argument("--data-format", choices=["turtle", "ntriples"],
                        default="turtle")
-    serve.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                       help="storage backend for the preloaded graph")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="hash-partition subjects across N worker "
                             "processes (the sharded scheduler; 0/1: off)")
@@ -223,19 +214,7 @@ def _read_file(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {error}")
 
 
-def _load_graph(path: str, data_format: str, store: str = "dict") -> TripleStore:
-    if store == "columnar":
-        if data_format == "ntriples":
-            # Stream line-by-line so the decoded triple list never has to be
-            # held in memory alongside the encoded segments.
-            graph = ColumnarGraph()
-            try:
-                with Path(path).open(encoding="utf-8") as lines:
-                    graph.ingest_ntriples(lines)
-            except OSError as error:
-                raise SystemExit(f"error: cannot read {path}: {error}")
-            return graph
-        return ColumnarGraph.parse(_read_file(path), format=data_format)
+def _load_graph(path: str, data_format: str) -> Graph:
     return Graph.parse(_read_file(path), format=data_format)
 
 
@@ -286,7 +265,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     _check_cache_bound(args)
     from .service.session import ValidationSession, collect_stats
 
-    graph = _load_graph(args.data, args.data_format, args.store)
+    graph = _load_graph(args.data, args.data_format)
     schema = _load_schema(args.schema)
     wants_cache = bool(args.bulk or args.cache_stats
                        or args.cache_max_entries is not None)
@@ -347,7 +326,7 @@ def _command_revalidate(args: argparse.Namespace) -> int:
                          "(--add and/or --remove)")
     from .service.session import ValidationSession
 
-    graph = _load_graph(args.data, args.data_format, args.store)
+    graph = _load_graph(args.data, args.data_format)
     schema = _load_schema(args.schema)
     labels = [args.shape] if args.shape else None
     session = ValidationSession(graph, schema,
@@ -404,7 +383,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                    max_body_bytes=args.max_body_bytes or None,
                    fleet_response_timeout=args.fleet_response_timeout)
     if args.data:
-        graph = _load_graph(args.data, args.data_format, args.store)
+        graph = _load_graph(args.data, args.data_format)
         session = ValidationSession(
             graph, schema, shards=args.shards,
             precompile=not args.no_precompile,
@@ -459,6 +438,10 @@ def _command_sparql(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    if args.size < 0:
+        raise SystemExit("error: --size must be at least 0")
+    if not 0 <= args.invalid_fraction <= 1:
+        raise SystemExit("error: --invalid-fraction must be between 0 and 1")
     from .workloads import generate_person_workload, generate_portal_workload
 
     if args.kind == "person":

@@ -26,8 +26,6 @@ from .errors import (
     ParseError,
     RDFError,
 )
-from .columnar import ColumnarGraph
-from .dictionary import TermDictionary
 from .graph import (
     ChangeJournal,
     Graph,
@@ -70,8 +68,8 @@ __all__ = [
     # terms
     "Term", "IRI", "BNode", "Literal", "Triple", "SubjectTerm", "ObjectTerm",
     "is_subject_term", "is_predicate_term", "is_object_term",
-    # graph / storage layer
-    "Graph", "TripleStore", "ColumnarGraph", "TermDictionary",
+    # graph layer
+    "Graph", "TripleStore",
     "ChangeJournal", "NeighbourhoodView",
     "OrderedTriples", "decompositions", "decomposition_count",
     # namespaces

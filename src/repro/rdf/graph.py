@@ -128,40 +128,29 @@ class OrderedTriples(tuple):
 
 
 class TripleStore:
-    """Shared behaviour of the triple stores — the *store contract*.
+    """The batch, journal and query base of :class:`Graph`.
 
-    :class:`Graph` (hash indexes of term objects) and
-    :class:`~repro.rdf.columnar.ColumnarGraph` (dictionary-encoded sorted
-    int-array segments) both derive from this class.  A concrete store
-    implements the primitives — ``add``, ``discard``, ``clear``,
-    ``triples``, ``nodes``, ``degree``, ``neighbourhood`` /
+    :class:`Graph` supplies the index primitives — ``add``, ``discard``,
+    ``clear``, ``triples``, ``nodes``, ``degree``, ``neighbourhood`` /
     ``neighbourhood_ordered`` and the set protocol (``__len__`` /
-    ``__iter__`` / ``__contains__``) — and inherits everything the
-    validation layers actually call: the batch/journal machinery, pattern
-    query helpers and the graph algebra of the paper.  Because
-    the derived behaviour is shared code over identical primitives,
-    validation verdicts are store-independent by construction.
+    ``__iter__`` / ``__contains__``).  This class holds what is built on
+    them: the per-subject neighbourhood caches, the generation counter, the
+    :class:`ChangeJournal` and batch machinery, the pattern query helpers
+    and the graph algebra of the paper.
 
-    The mutation bookkeeping lives here too: stores invalidate through
-    :meth:`_invalidate_key`, which pops the per-subject neighbourhood
-    caches, bumps the generation and journals the key.  The *key type* is
-    the store's choice — term objects for the dict store, dense subject ids
-    for the columnar store — and :meth:`_decode_journal_keys` translates
-    journal answers back to terms at the :meth:`changes_since` boundary.
+    Every mutation goes through :meth:`_invalidate_keys`, which pops the
+    touched subjects' cached neighbourhoods, bumps the generation and
+    journals the subjects (coalesced to one record each inside a batch).
     """
-
-    #: short name reported by :meth:`store_stats` and the CLI ``--store`` flag.
-    store_name = "abstract"
 
     def __init__(self, namespaces: Optional[NamespaceManager] = None,
                  journal_max_entries: int = DEFAULT_JOURNAL_BOUND):
         #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
         #: predicate-sorted tuple); invalidated per subject on mutation.  The
         #: engines ask for the same neighbourhood once per ``(node, label)``
-        #: pair, so bulk validation hits these constantly.  Keyed by whatever
-        #: the concrete store invalidates with (terms or ids).
-        self._neigh_sets: Dict[object, FrozenSet[Triple]] = {}
-        self._neigh_ordered: Dict[object, Tuple[Triple, ...]] = {}
+        #: pair, so bulk validation hits these constantly.
+        self._neigh_sets: Dict[SubjectTerm, FrozenSet[Triple]] = {}
+        self._neigh_ordered: Dict[SubjectTerm, Tuple[Triple, ...]] = {}
         #: mutation counter; bumps on every effective add/discard/clear so
         #: derived state (e.g. a shared ValidationContext) can notice change.
         self._generation = 0
@@ -223,10 +212,6 @@ class TripleStore:
         """The store's bounded :class:`ChangeJournal`."""
         return self._journal
 
-    def _decode_journal_keys(self, keys: FrozenSet) -> FrozenSet[SubjectTerm]:
-        """Translate journal keys back to subject terms (identity by default)."""
-        return keys
-
     def changes_since(self, generation: int) -> Optional[FrozenSet[SubjectTerm]]:
         """Subjects whose neighbourhoods may have changed after ``generation``.
 
@@ -239,10 +224,7 @@ class TripleStore:
         if self._batch_depth:
             raise GraphError("changes_since inside an open batch would "
                              "under-report; close the batch first")
-        keys = self._journal.changes_since(generation)
-        if keys is None:
-            return None
-        return self._decode_journal_keys(keys)
+        return self._journal.changes_since(generation)
 
     def begin_batch(self) -> None:
         """Enter batch mode: coalesce journal records until ``end_batch``.
@@ -327,21 +309,6 @@ class TripleStore:
             raise GraphError(f"triple not in graph: {triple}")
         return self.discard(triple)
 
-    # ------------------------------------------------------------ set protocol
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TripleStore):
-            return self.to_set() == other.to_set()
-        if isinstance(other, (set, frozenset)):
-            return self.to_set() == other
-        return NotImplemented
-
-    def __hash__(self):  # pragma: no cover - mutable container
-        raise TypeError(f"{type(self).__name__} is mutable and unhashable; "
-                        f"use frozenset(graph)")
-
     # ------------------------------------------------------------ query helpers
     def subjects(self, predicate: Optional[IRI] = None,
                  obj: Optional[ObjectTerm] = None) -> Iterator[SubjectTerm]:
@@ -386,35 +353,12 @@ class TripleStore:
                     yield term
 
     # ------------------------------------------------------ paper-level algebra
-    def neighbourhood_any(self, node: SubjectTerm) -> Iterable[Triple]:
-        """``Σgₙ`` in whatever representation is cheapest to produce.
-
-        For the dict store that is the unsorted frozenset (no predicate
-        sort); the columnar store returns its ordered tuples instead.  Order-insensitive consumers — the
-        compiled-schema prefilter above all — should use this accessor.
-        """
-        return self.neighbourhood(node)
-
-    def signature_pairs(self, node: SubjectTerm) -> Optional[tuple]:
-        """Id-native raw material for a neighbourhood signature, or ``None``.
-
-        The columnar store overrides this with ``(subject_id, sorted
-        (predicate_id, object_id) pairs)`` straight from its int indexes;
-        term-object stores answer ``None`` and signature construction falls
-        back to :meth:`neighbourhood_any` term pairs.  Either path yields the
-        same canonical signature *classes* — only the memo keys differ.
-        """
-        return None
-
     def neighbourhood_view(self, node: SubjectTerm) -> "NeighbourhoodView":
         """Return a :class:`NeighbourhoodView` over ``Σgₙ``."""
         return NeighbourhoodView(node, self.neighbourhood(node))
 
     def union(self, other: "TripleStore") -> "TripleStore":
-        """Return a new graph ``self ⊕ other`` (blank-node identity preserved).
-
-        The result uses the receiver's store kind.
-        """
+        """Return a new graph ``self ⊕ other`` (blank-node identity preserved)."""
         result = type(self)(namespaces=self.namespaces.copy())
         result.update(self)
         result.update(other)
@@ -430,12 +374,8 @@ class TripleStore:
         return self.union(other)
 
     def copy(self) -> "TripleStore":
-        """Return an independent copy of the graph (same store kind)."""
+        """Return an independent copy of the graph."""
         return type(self)(self, namespaces=self.namespaces.copy())
-
-    def to_set(self) -> FrozenSet[Triple]:
-        """Return the triples as an immutable frozenset."""
-        return frozenset(self)
 
     def sorted_triples(self) -> List[Triple]:
         """Return triples in a deterministic (term-ordered) list."""
@@ -445,7 +385,7 @@ class TripleStore:
     def store_stats(self) -> Dict[str, object]:
         """Store-level counters surfaced by ``--cache-stats``."""
         return {
-            "store": self.store_name,
+            "store": "dict",
             "triples": len(self),
             "cached_neighbourhoods":
                 len(self._neigh_sets) + len(self._neigh_ordered),
@@ -488,8 +428,6 @@ class Graph(TripleStore):
     ``in``, ``len``, iteration) and adds RDF-specific operations: triple
     pattern queries, namespace management, node neighbourhoods and union.
     """
-
-    store_name = "dict"
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None,
                  namespaces: Optional[NamespaceManager] = None,
@@ -696,6 +634,14 @@ class Graph(TripleStore):
         """
         by_pred = self._spo.get(node)
         return by_pred if by_pred is not None else {}
+
+    def signature_pairs(self, node: SubjectTerm) -> None:
+        """Always ``None``: no caller in the package uses it.
+
+        Kept only because the benchmark's layer tracer (``perfbench/
+        layers.py``) wraps this name; drop it together with that entry.
+        """
+        return None
 
     # ------------------------------------------------------ paper-level algebra
     def neighbourhood(self, node: SubjectTerm) -> FrozenSet[Triple]:

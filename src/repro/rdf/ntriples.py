@@ -159,14 +159,12 @@ def iter_ntriples_lines(lines: Iterable[str]) -> Iterator[Triple]:
     """Yield triples from an iterable of N-Triples lines, one at a time.
 
     This is the streaming entry point: ``lines`` can be an open file handle
-    or any other lazy line source.  The columnar store's segment-bounded
-    ingest path feeds on this, encoding each yielded triple into integer ids
-    and letting the triples go.
+    or any other lazy line source.
 
     Terms are interned per call: each distinct token text goes through the
     validating ``_parse_*`` path once, and every repeat reuses that term
     object.  Besides the current line, memory holds that memo — one entry
-    per distinct term (which either store keeps anyway) keyed by its token
+    per distinct term (which the graph keeps anyway) keyed by its token
     text — until the iteration ends.  The position patterns fix each term's
     kind (a subject token is never a literal, a predicate token always an
     IRI), so triples skip the :class:`Triple` constructor's checks.

@@ -350,12 +350,12 @@ class Triple(tuple):
     Validity of the three positions is enforced at construction time, matching
     the vocabulary constraints of Section 2 of the paper.
 
-    The class is a ``tuple`` subclass, not a dataclass: the storage layer
-    hashes triples constantly (the dict store's indexes and neighbourhood
-    frozensets) and the columnar store materialises them in bulk on every
-    scan, so construction, hashing and equality all running at C speed is a
-    measurable win.  Field access stays attribute-style (``triple.subject``)
-    through ``itemgetter`` properties.
+    The class is a ``tuple`` subclass, not a dataclass: the graph hashes
+    triples constantly (its indexes and neighbourhood frozensets) and
+    builds them in bulk on every pattern scan, so construction, hashing and
+    equality all running at C speed is a measurable win.  Field access
+    stays attribute-style (``triple.subject``) through ``itemgetter``
+    properties.
     """
 
     __slots__ = ()
@@ -438,10 +438,11 @@ def unchecked_triple(subject: SubjectTerm, predicate: IRI,
                      obj: ObjectTerm) -> Triple:
     """Build a :class:`Triple` from positions already known to be valid.
 
-    The dictionary-encoded store rebuilds triples from ids whose per-kind
-    ranges (see :mod:`repro.rdf.dictionary`) already guarantee the
-    vocabulary constraints of Section 2, so the constructor's ``isinstance``
-    checks are pure overhead on its scan paths.  Only use this with
-    positions that went through validation once before.
+    The N-Triples tokeniser matches each position with a pattern that
+    already fixes its term kind (a subject token is never a literal, a
+    predicate token always an IRI), so the vocabulary constraints of
+    Section 2 hold and the constructor's ``isinstance`` checks are pure
+    overhead on its ingest path.  Only use this with positions that went
+    through validation once before.
     """
     return tuple.__new__(Triple, (subject, predicate, obj))

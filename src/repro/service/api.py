@@ -182,7 +182,6 @@ class ValidationRequest:
     data: str = ""
     data_format: str = "turtle"
     schema: str = ""
-    store: str = "dict"
     labels: Optional[Tuple[str, ...]] = None
     shards: Optional[int] = None
 
@@ -190,9 +189,6 @@ class ValidationRequest:
         if self.data_format not in ("turtle", "ntriples"):
             raise ServiceError("bad-request",
                                f"unknown data_format {self.data_format!r}", 400)
-        if self.store not in ("dict", "columnar"):
-            raise ServiceError("bad-request",
-                               f"unknown store {self.store!r}", 400)
 
     def to_json(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -200,7 +196,6 @@ class ValidationRequest:
             "data": self.data,
             "data_format": self.data_format,
             "schema": self.schema,
-            "store": self.store,
         }
         if self.labels is not None:
             payload["labels"] = list(self.labels)
@@ -216,7 +211,6 @@ class ValidationRequest:
         return cls(data=_get(data, "data", str, ""),
                    data_format=_get(data, "data_format", str, "turtle"),
                    schema=_get(data, "schema", str, ""),
-                   store=_get(data, "store", str, "dict"),
                    labels=_opt_labels(data),
                    shards=_opt_int(data, "shards"))
 
@@ -405,8 +399,8 @@ class ServiceStats:
     ``--cache-stats`` prints :meth:`format_text` (the same prefixed
     ``key=value`` stderr lines the CLI has always emitted), and
     ``--cache-stats=json`` prints the JSON.  The groups mirror the
-    subsystems: ``store`` (storage backend, with a nested ``dictionary``
-    group for columnar stores), ``journal`` (change journal), ``prefilter``
+    subsystems: ``store`` (triple count and cached neighbourhoods),
+    ``journal`` (change journal), ``prefilter``
     (compiled-schema counters, empty when precompilation is off), ``cache``
     (derivative cache, empty when no global cache is active), ``signature``
     (neighbourhood-signature verdict cache, empty when dedupe is off),
@@ -463,19 +457,14 @@ class ServiceStats:
         """Render the classic ``--cache-stats`` stderr block.
 
         Line prefixes and key names are stable (tests and scripts grep for
-        them): ``store-stats:``, ``dictionary-stats:``, ``journal-stats:``,
+        them): ``store-stats:``, ``journal-stats:``,
         ``prefilter-stats:``, ``cache-stats:``.
         """
         lines: List[str] = []
-        store = dict(self.store)
-        dictionary = store.pop("dictionary", None)
-        if store:
-            rendered = " ".join(f"{key}={value}" for key, value in store.items())
-            lines.append(f"store-stats: {rendered}")
-        if dictionary:
+        if self.store:
             rendered = " ".join(f"{key}={value}"
-                                for key, value in dictionary.items())
-            lines.append(f"dictionary-stats: {rendered}")
+                                for key, value in self.store.items())
+            lines.append(f"store-stats: {rendered}")
         if self.journal:
             journal = self.journal
             lines.append("journal-stats: "

@@ -87,7 +87,8 @@ class _ShardReplica:
 
     def __init__(self, shard_index: int, shards: int, schema, engine_spec,
                  compiled, triples, max_recursion_depth: int,
-                 recursion_limit: int, journal_max_entries: int):
+                 recursion_limit: int, journal_max_entries: int,
+                 use_signature_cache: bool):
         if recursion_limit > sys.getrecursionlimit():
             sys.setrecursionlimit(recursion_limit)
         self.shard_index = shard_index
@@ -99,6 +100,7 @@ class _ShardReplica:
             self.graph, schema, engine=_engine_from_spec(engine_spec),
             shared_context=True,
             precompile=compiled is not None, compiled=compiled,
+            signature_cache=None if use_signature_cache else False,
             max_recursion_depth=max_recursion_depth,
             subject_filter=_OwnedBy(shards, shard_index),
         )
@@ -263,11 +265,11 @@ def _fleet_worker_main(shard_index: int, shards: int,
             if command == "load":
                 (schema, engine_spec, compiled, triples, labels,
                  max_recursion_depth, recursion_limit,
-                 journal_max_entries) = payload
+                 journal_max_entries, use_signature_cache) = payload
                 replica = _ShardReplica(
                     shard_index, shards, schema, engine_spec, compiled,
                     triples, max_recursion_depth, recursion_limit,
-                    journal_max_entries)
+                    journal_max_entries, use_signature_cache)
                 _respond(responses, injector, ("ok", replica.run(labels)))
             elif command == "stats":
                 _respond(responses, injector,

@@ -29,8 +29,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..rdf import ColumnarGraph, Graph, ParseError, TripleStore
-from ..rdf.errors import GraphError
+from ..rdf import Graph, ParseError
 from ..rdf.ntriples import iter_ntriples, parse_term
 from ..rdf.terms import ObjectTerm, Triple
 from ..shex.results import MatchStats
@@ -66,11 +65,8 @@ def collect_stats(validator: Validator, totals: MatchStats,
     ``--cache-stats`` output is one format everywhere.
     """
     graph = validator.graph
-    try:
-        store = dict(graph.store_stats())
-    except GraphError:  # pragma: no cover - defensive
-        store = {}
-    journal = dict(graph.journal.stats()) if hasattr(graph, "journal") else {}
+    store = dict(graph.store_stats())
+    journal = dict(graph.journal.stats())
     compiled = validator.compiled
     if compiled is None:
         prefilter = {}
@@ -125,7 +121,7 @@ def collect_stats(validator: Validator, totals: MatchStats,
     fleet_stats = getattr(validator, "fleet_stats", None)
     fleet = fleet_stats() if callable(fleet_stats) else {}
     return ServiceStats(
-        generation=getattr(graph, "generation", 0),
+        generation=graph.generation,
         store=store, journal=journal, prefilter=prefilter,
         cache=cache, signature=signature, profile=profile,
         verdicts=verdicts,
@@ -146,7 +142,7 @@ class ValidationSession:
     goes stale and verdict queries start failing with ``stale-baseline``.
     """
 
-    def __init__(self, graph: TripleStore, schema: Schema, *,
+    def __init__(self, graph: Graph, schema: Schema, *,
                  engine: Union[str, object, None] = None,
                  shards: int = 0,
                  precompile: bool = True,
@@ -157,29 +153,24 @@ class ValidationSession:
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
-        engine_options = {}
+        options = dict(engine=engine, precompile=precompile,
+                       signature_cache=None if use_signature_cache else False,
+                       max_recursion_depth=max_recursion_depth)
         engine_name = engine if isinstance(engine, str) else None
         if use_cache and engine_name in (None, "derivatives"):
             from ..shex.cache import DerivativeCache
 
-            engine_options["cache"] = DerivativeCache(
-                max_entries=cache_max_entries)
+            options["cache"] = DerivativeCache(max_entries=cache_max_entries)
         self.graph = graph
         self.schema = schema
         self.shards = max(shards, 0)
         if self.shards > 1:
             self.validator: Validator = ShardedValidator(
-                graph, schema, engine=engine, shards=self.shards,
-                precompile=precompile,
-                max_recursion_depth=max_recursion_depth,
+                graph, schema, shards=self.shards,
                 fleet_response_timeout=fleet_response_timeout,
-                fault_plan=fault_plan, **engine_options)
+                fault_plan=fault_plan, **options)
         else:
-            self.validator = Validator(
-                graph, schema, engine=engine,
-                precompile=precompile,
-                signature_cache=None if use_signature_cache else False,
-                max_recursion_depth=max_recursion_depth, **engine_options)
+            self.validator = Validator(graph, schema, **options)
         self._lock = threading.RLock()
         self._totals = MatchStats()
         self._full_runs = 0
@@ -227,11 +218,7 @@ class ValidationSession:
                                "no schema in the request and the server has "
                                "no preloaded schema", 400)
         try:
-            if request.store == "columnar":
-                graph: TripleStore = ColumnarGraph.parse(
-                    request.data, format=request.data_format)
-            else:
-                graph = Graph.parse(request.data, format=request.data_format)
+            graph = Graph.parse(request.data, format=request.data_format)
         except ParseError as error:
             raise ServiceError("parse-error", str(error), 400) from error
         shards = request.shards if request.shards is not None else default_shards
@@ -443,7 +430,7 @@ class ValidationSession:
                 raise ServiceError(
                     "no-baseline",
                     "no maintained baseline; run a full validation first", 409)
-            stale = generation != getattr(self.graph, "generation", generation)
+            stale = generation != self.graph.generation
             if stale and not allow_degraded:
                 raise ServiceError(
                     "stale-baseline",
@@ -544,7 +531,7 @@ class ValidationSession:
         """
         info: Dict[str, Any] = {
             "closed": self._closed,
-            "generation": getattr(self.graph, "generation", 0),
+            "generation": self.graph.generation,
             "maintained_generation":
                 getattr(self.validator, "maintained_generation", None),
             "full_runs": self._full_runs,
@@ -558,7 +545,7 @@ class ValidationSession:
 
     @property
     def generation(self) -> int:
-        return getattr(self.graph, "generation", 0)
+        return self.graph.generation
 
     def close(self) -> None:
         """Mark the session unusable and release its resident shard fleet."""

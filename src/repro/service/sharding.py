@@ -138,7 +138,8 @@ class ShardedValidator(Validator):
             bound = self.graph.journal.max_entries
         return (self.schema, self._worker_engine_spec, self.compiled,
                 triples, list(labels), self.max_recursion_depth,
-                sys.getrecursionlimit(), bound)
+                sys.getrecursionlimit(), bound,
+                self.signature_cache is not None)
 
     def _fleet_load(self, fleet: ShardFleet,
                     labels: Tuple[ShapeLabel, ...]) -> List[tuple]:

@@ -21,10 +21,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Literal, ObjectTerm, SubjectTerm
-from .compiled import CompiledSchema, LazyNeighbourhood, store_counts
+from .compiled import CompiledSchema
 from .expressions import Arc, iter_subexpressions
 from .node_constraints import PredicateSet, ShapeRef
-from .schema import Schema
+from .schema import LazyNeighbourhood, Schema
 from .typing import ShapeLabel
 
 __all__ = ["ReferenceIndex", "affected_nodes"]
@@ -178,23 +178,13 @@ def affected_nodes(
         return frozenset(dirty)
     affected: Set[ObjectTerm] = set(dirty)
     frontier: List[ObjectTerm] = list(dirty)
-    # the columnar store walks in-edges natively over its OSP int columns
-    # (one binary search per segment, predicates decoded once through the
-    # dictionary's memo); the dict store falls back to its OSP hash index.
-    in_edges = getattr(graph, "in_edges", None)
-    neighbourhood_any = getattr(graph, "neighbourhood_any", graph.neighbourhood)
     while frontier:
         node = frontier.pop()
         if isinstance(node, Literal):
             continue
         referrers: Set[SubjectTerm] = set()
         demanded: Set[ShapeLabel] = set()
-        if in_edges is not None:
-            edge_iter: Iterable = in_edges(node)
-        else:
-            edge_iter = ((triple.predicate, triple.subject)
-                         for triple in graph.triples(obj=node))
-        for predicate, subject in edge_iter:
+        for subject, predicate, _ in graph.triples(obj=node):
             # the reverse index gates the backward walk: the edge matters
             # only if some shape checked against the *subject* contains a
             # reference arc this predicate can trigger …
@@ -207,10 +197,10 @@ def affected_nodes(
         if not referrers:
             continue
         if compiled is not None and node not in dirty:
-            counts = store_counts(graph, node)
+            counts = graph.predicate_counts(node)
             if all(
                 label in compiled and compiled.decides(
-                    label, LazyNeighbourhood(neighbourhood_any, node), counts)
+                    label, LazyNeighbourhood(graph.neighbourhood, node), counts)
                 for label in demanded
             ):
                 continue

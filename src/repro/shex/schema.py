@@ -35,12 +35,13 @@ from typing import (
 )
 
 from ..rdf.graph import Graph
-from ..rdf.terms import Literal, ObjectTerm, Triple
+from ..rdf.terms import IRI, Literal, ObjectTerm, Triple
 from .expressions import ShapeExpr, referenced_labels
 from .results import MatchResult, MatchStats
 from .typing import ShapeLabel, ShapeTyping
 
-__all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher"]
+__all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher",
+           "LazyNeighbourhood"]
 
 
 class SchemaError(Exception):
@@ -178,13 +179,16 @@ class Schema:
 _EMPTY_NEIGHBOURHOOD: FrozenSet[Triple] = frozenset()
 
 
-class _LazyNeighbourhood:
+class LazyNeighbourhood:
     """An iterable ``Σgₙ`` proxy that defers the scan until iterated.
 
-    When predicate counts come straight from the store, most prefilter
-    decisions never look at a triple; handing the prefilter this proxy means
-    the neighbourhood is only materialised for shapes with value screens
-    (the store caches the scan, so repeated iteration costs one lookup).
+    :meth:`~repro.shex.compiled.CompiledShape.prefilter` only touches its
+    ``triples`` argument in the value-screen loop; every count-only decision
+    (nullability, first / allowed / required predicates, cardinality bounds)
+    reads the counts mapping alone.  With counts from
+    :meth:`Graph.predicate_counts`, handing the prefilter this proxy means
+    most decisions never materialise a single neighbourhood triple.  The
+    graph caches the underlying scan, so repeated iteration costs one lookup.
     """
 
     __slots__ = ("_fetch", "_node")
@@ -195,10 +199,6 @@ class _LazyNeighbourhood:
 
     def __iter__(self):
         return iter(self._fetch(self._node))
-
-def _signature_sort_key(item: tuple) -> tuple:
-    """Canonical order for term-keyed signature items: (predicate, bits)."""
-    return (item[0].sort_key(), item[1])
 
 
 #: sentinel for object-class memo misses — ``None`` is a valid memoised class
@@ -314,17 +314,7 @@ class ValidationContext:
         # getting plain frozensets and no sort is paid on their behalf.
         engine = getattr(matcher, "__self__", None)
         self._ordered_neighbourhoods = bool(
-            getattr(engine, "wants_ordered_neighbourhoods", False)
-            and hasattr(graph, "neighbourhood_ordered")
-        )
-        # the prefilter is order-insensitive; graphs expose their cheapest
-        # neighbourhood representation through ``neighbourhood_any``.
-        self._neighbourhood_any = getattr(graph, "neighbourhood_any",
-                                          graph.neighbourhood)
-        # stores that can count out-edges per predicate without building
-        # neighbourhood triples (both triple stores can; snapshots cannot)
-        # let the prefilter decide count-only shapes with no triples at all.
-        self._graph_predicate_counts = getattr(graph, "predicate_counts", None)
+            getattr(engine, "wants_ordered_neighbourhoods", False))
         #: schema-level reference index (duck-typed
         #: :class:`~repro.shex.partition.ReferenceIndex`); signature
         #: construction uses it to skip the self-reference eligibility tests
@@ -338,16 +328,11 @@ class ValidationContext:
         #: node → canonical signature memo.  Presence-keyed, because ``None``
         #: (signature-open, engine must run) is a valid memoised answer.
         self._signatures: Dict[ObjectTerm, Optional[tuple]] = {}
-        #: object-class memo: ``(pid, oid)`` int pairs (columnar) or
-        #: ``(predicate, object)`` term pairs → ``(has_refs, verdict bits)``,
-        #: or ``None`` when a reference bit is not statically decidable.
-        self._object_classes: Dict[object, Optional[Tuple[bool, tuple]]] = {}
-        self._graph_signature_pairs = getattr(graph, "signature_pairs", None)
-        self._graph_decode_id = getattr(graph, "decode_id", None)
-        # zero-copy predicate-grouped out-edges (dict store): the signature
-        # builder resolves candidate atoms once per predicate group and never
-        # materialises neighbourhood triples for probe-only subjects.
-        self._graph_predicate_objects = getattr(graph, "predicate_objects", None)
+        #: object-class memo: predicate → object → ``(has_refs, verdict
+        #: bits)``, or ``None`` when a reference bit is not statically
+        #: decidable.
+        self._object_classes: Dict[IRI, Dict[ObjectTerm,
+                                             Optional[Tuple[bool, tuple]]]] = {}
 
     # -- typing bookkeeping -----------------------------------------------------
     @property
@@ -558,29 +543,19 @@ class ValidationContext:
     def _prefilter_inputs(self, node: ObjectTerm):
         """``(neighbourhood, predicate counts)`` for the prefilter, cached.
 
-        The neighbourhood comes through ``neighbourhood_any`` — the
-        prefilter is order-insensitive, so the predicate sort the engines
-        want is never paid here; the counts are built once per node and
-        shared by every label the node is checked against.
+        The counts come straight from the graph's SPO index, built once per
+        node and shared by every label the node is checked against.  The
+        neighbourhood stays lazy: the prefilter only iterates it when value
+        screens apply, and then gets the unsorted frozenset (it is
+        order-insensitive, so the predicate sort the engines want is never
+        paid here).
         """
         if isinstance(node, Literal):
             return _EMPTY_NEIGHBOURHOOD, self._pred_counts.setdefault(node, {})
         counts = self._pred_counts.get(node)
-        if counts is None and self._graph_predicate_counts is not None:
-            # id-native stores count per predicate without materialising a
-            # single triple; the neighbourhood itself stays lazy, because
-            # the prefilter only iterates it when value screens apply.
-            counts = self._graph_predicate_counts(node)
-            self._pred_counts[node] = counts
-        if counts is not None:
-            return _LazyNeighbourhood(self._neighbourhood_any, node), counts
-        neighbourhood = self._neighbourhood_any(node)
-        counts = {}
-        for triple in neighbourhood:
-            predicate = triple.predicate
-            counts[predicate] = counts.get(predicate, 0) + 1
-        self._pred_counts[node] = counts
-        return neighbourhood, counts
+        if counts is None:
+            counts = self._pred_counts[node] = self.graph.predicate_counts(node)
+        return LazyNeighbourhood(self.graph.neighbourhood, node), counts
 
     def _record_decision(self, node: ObjectTerm, label: ShapeLabel,
                          decision) -> None:
@@ -693,14 +668,13 @@ class ValidationContext:
     def node_signature(self, node: ObjectTerm) -> Optional[tuple]:
         """The canonical neighbourhood signature of ``node``, or ``None``.
 
-        The signature is the sorted multiset of ``(predicate, object-class)``
-        pairs over ``Σgₙ`` — id-native ``(pid, bits)`` int pairs when the
-        store exposes :meth:`signature_pairs` (columnar), term-keyed pairs
-        otherwise.  Because the object class fixes the verdict bit of every
-        candidate atom a triple can touch, the engine's verdict for ``(node,
-        label)`` is a pure function of the signature, for **any** label:
-        equal signatures replay identical derivative chains, and the final
-        nullability test is triple-order-independent.
+        The signature is the sorted multiset of ``(predicate IRI string,
+        object-class bits)`` pairs over ``Σgₙ``.  Because the object class
+        fixes the verdict bit of every candidate atom a triple can touch, the
+        engine's verdict for ``(node, label)`` is a pure function of the
+        signature, for **any** label: equal signatures replay identical
+        derivative chains, and the final nullability test is
+        triple-order-independent.
 
         ``None`` marks a signature-*open* node — some object's reference bit
         is not statically decided, or a reference-demanding predicate loops
@@ -728,70 +702,28 @@ class ValidationContext:
         # per-triple eligibility tests vanish outright.
         check_refs = index is None or index.has_references
         items: List[tuple] = []
-        raw = None
-        if self._graph_signature_pairs is not None \
-                and not isinstance(node, Literal):
-            raw = self._graph_signature_pairs(node)
-        if raw is not None:
-            sid, id_pairs = raw
-            decode = self._graph_decode_id
-            atom_memo: Dict[int, tuple] = {}
-            for pid, oid in id_pairs:
-                key = (pid, oid)
-                if key in classes:
-                    cls = classes[key]
-                else:
-                    atoms = atom_memo.get(pid)
+        # one atom-table fetch per predicate group, per-object class memo,
+        # no Triple materialisation, and items keyed by the predicate's IRI
+        # string so the final sort and the cache-key hash run on C-speed
+        # values.
+        for predicate, objects in self.graph.predicate_objects(node).items():
+            sub = classes.get(predicate)
+            if sub is None:
+                sub = classes[predicate] = {}
+            atoms = None
+            pkey = predicate.value
+            for obj in objects:
+                cls = sub.get(obj, _NO_CLASS)
+                if cls is _NO_CLASS:
                     if atoms is None:
-                        atoms = atom_memo[pid] = signature_atoms(decode(pid))
-                    cls = self._object_class(decode(oid), atoms)
-                    classes[key] = cls
+                        atoms = signature_atoms(predicate)
+                    cls = sub[obj] = self._object_class(obj, atoms)
                 if cls is None:
                     return None
-                if check_refs and cls[0] and oid == sid:
+                if check_refs and cls[0] and obj == node:
                     return None
-                items.append((pid, cls[1]))
-            items.sort()
-            return tuple(items)
-        grouped = self._graph_predicate_objects
-        if grouped is not None:
-            # dict-store fast path: one atom-table fetch per predicate group,
-            # per-object class memo, no Triple materialisation, and items
-            # keyed by the predicate's IRI string so the final sort and the
-            # cache-key hash run on C-speed values.
-            for predicate, objects in grouped(node).items():
-                sub = classes.get(predicate)
-                if sub is None:
-                    sub = classes[predicate] = {}
-                atoms = None
-                pkey = predicate.value
-                for obj in objects:
-                    cls = sub.get(obj, _NO_CLASS)
-                    if cls is _NO_CLASS:
-                        if atoms is None:
-                            atoms = signature_atoms(predicate)
-                        cls = sub[obj] = self._object_class(obj, atoms)
-                    if cls is None:
-                        return None
-                    if check_refs and cls[0] and obj == node:
-                        return None
-                    items.append((pkey, cls[1]))
-            items.sort()
-            return tuple(items)
-        for triple in self._neighbourhood_any(node):
-            predicate, obj = triple.predicate, triple.object
-            key = (predicate, obj)
-            if key in classes:
-                cls = classes[key]
-            else:
-                cls = self._object_class(obj, signature_atoms(predicate))
-                classes[key] = cls
-            if cls is None:
-                return None
-            if check_refs and cls[0] and obj == node:
-                return None
-            items.append((predicate, cls[1]))
-        items.sort(key=_signature_sort_key)
+                items.append((pkey, cls[1]))
+        items.sort()
         return tuple(items)
 
     # -- the MatchShape rule -----------------------------------------------------

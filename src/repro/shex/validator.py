@@ -335,16 +335,6 @@ class Validator:
             self._signature_cache_schema = self.schema
         return self._signature_cache
 
-    def store_stats(self) -> Dict[str, object]:
-        """Storage-layer counters of the validated graph.
-
-        A passthrough to :meth:`TripleStore.store_stats`, so callers holding
-        only the validator (services, the CLI) can report backend counters —
-        dictionary size, segment counts, index bytes, ids decoded at report
-        time — without reaching into the graph.
-        """
-        return self.graph.store_stats()
-
     # -- contexts ---------------------------------------------------------------
     def _new_context(self) -> ValidationContext:
         index = self._schema_reference_index() if self.schema is not None else None
@@ -370,7 +360,7 @@ class Validator:
         # cannot be recycled); the generation captures in-place graph edits.
         sources = (self.graph, self.schema, self.engine, self.compiled,
                    self.max_recursion_depth,
-                   getattr(self.graph, "generation", None))
+                   self.graph.generation)
         stale = (self._context is None or self._context_key is None
                  or any(new is not old
                         for new, old in zip(sources[:4], self._context_key[:4]))
@@ -506,7 +496,7 @@ class Validator:
             (entry.node, entry.label): entry for entry in report.entries
         }
         self._incremental_typing = report.typing
-        self._incremental_generation = getattr(self.graph, "generation", None)
+        self._incremental_generation = self.graph.generation
 
     def _owns(self, node: SubjectTerm) -> bool:
         """Whether bulk reports cover ``node`` (True without a filter)."""

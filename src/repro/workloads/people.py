@@ -12,9 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..rdf.columnar import ColumnarGraph
-from ..rdf.errors import GraphError
-from ..rdf.graph import Graph, TripleStore
+from ..rdf.graph import Graph
 from ..rdf.namespaces import EX, FOAF, XSD
 from ..rdf.terms import IRI, Literal, Triple
 from ..shex.schema import Schema
@@ -59,15 +57,6 @@ PREFIX xsd:  <http://www.w3.org/2001/XMLSchema#>
 """
 
 
-def _make_graph(store: str) -> TripleStore:
-    """Create an empty graph with the requested storage backend."""
-    if store == "dict":
-        return Graph()
-    if store == "columnar":
-        return ColumnarGraph()
-    raise GraphError(f"unknown store {store!r}: expected 'dict' or 'columnar'")
-
-
 def paper_example_graph() -> Graph:
     """Return the graph of Example 2 (``:john``, ``:bob``, ``:mary``)."""
     return Graph.parse(PAPER_EXAMPLE_TURTLE)
@@ -89,7 +78,7 @@ _FIRST_NAMES = [
 class PersonWorkload:
     """A generated person graph together with its ground truth."""
 
-    graph: TripleStore
+    graph: Graph
     schema: Schema
     #: nodes that must conform to the Person shape.
     valid_nodes: List[IRI] = field(default_factory=list)
@@ -109,7 +98,6 @@ def generate_person_workload(
     knows_probability: float = 0.3,
     max_extra_names: int = 2,
     seed: int = 0,
-    store: str = "dict",
 ) -> PersonWorkload:
     """Generate a person graph with a known share of violating nodes.
 
@@ -121,7 +109,7 @@ def generate_person_workload(
     if not 0 <= invalid_fraction <= 1:
         raise ValueError("invalid_fraction must be between 0 and 1")
     rng = random.Random(seed)
-    graph = _make_graph(store)
+    graph = Graph()
     graph.namespaces.bind("", EX.base)
     graph.namespaces.bind("foaf", FOAF.base)
     people = [EX[f"person{i}"] for i in range(num_people)]
@@ -211,7 +199,6 @@ def generate_community_workload(
     knows_chords: int = 2,
     max_extra_names: int = 2,
     seed: int = 0,
-    store: str = "dict",
 ) -> PersonWorkload:
     """Many independent communities: the multi-component scaling workload.
 
@@ -229,7 +216,7 @@ def generate_community_workload(
     if num_communities < 1 or people_per_community < 1:
         raise ValueError("need at least one community with at least one person")
     rng = random.Random(seed)
-    graph = _make_graph(store)
+    graph = Graph()
     graph.namespaces.bind("", EX.base)
     graph.namespaces.bind("foaf", FOAF.base)
     workload = PersonWorkload(graph=graph, schema=person_schema())

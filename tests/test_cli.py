@@ -46,6 +46,18 @@ class TestParser:
             build_parser().parse_args(command + ["--jobs", "2"])
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["validate", "--data", "d.ttl", "--schema", "s.shex", "--all-nodes"],
+        ["revalidate", "--data", "d.ttl", "--schema", "s.shex"],
+        ["serve", "--schema", "s.shex"],
+    ], ids=["validate", "revalidate", "serve"])
+    def test_store_flag_is_gone(self, command, capsys):
+        # the hash-indexed Graph is the one triple store
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--store", "dict"])
+        assert exc.value.code == 2
+        assert "--store" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_all_nodes_text_output(self, data_file, schema_file, capsys):
@@ -139,6 +151,7 @@ class TestValidateCommand:
         assert exit_code == 1
         assert "journal-stats:" in err
         assert "tracked_subjects=" in err
+        assert "store-stats: store=dict triples=8 cached_neighbourhoods=" in err
 
     def test_broken_schema_reports_parse_error(self, data_file, tmp_path, capsys):
         broken = tmp_path / "broken.shex"
@@ -251,3 +264,23 @@ class TestOtherCommands:
         output = capsys.readouterr().out
         assert "portal workload" in output
         assert "dcat:" in output
+
+    @pytest.mark.parametrize("arguments, message", [
+        (["--invalid-fraction", "2"],
+         "error: --invalid-fraction must be between 0 and 1"),
+        (["--invalid-fraction", "-0.5"],
+         "error: --invalid-fraction must be between 0 and 1"),
+        (["--kind", "portal", "--invalid-fraction", "nan"],
+         "error: --invalid-fraction must be between 0 and 1"),
+        (["--kind", "portal", "--size", "-3"], "error: --size must be at least 0"),
+        (["--size", "-3"], "error: --size must be at least 0"),
+    ], ids=["fraction-above-1", "negative-fraction", "nan-fraction",
+            "negative-portal-size", "negative-person-size"])
+    def test_generate_rejects_out_of_range_input(self, arguments, message,
+                                                 capsys):
+        exit_code = main(["generate-workload", *arguments])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

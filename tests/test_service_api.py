@@ -40,7 +40,6 @@ validation_requests = st.builds(
     data=text,
     data_format=st.sampled_from(["turtle", "ntriples"]),
     schema=text,
-    store=st.sampled_from(["dict", "columnar"]),
     labels=labels,
     shards=opt_int,
 )
@@ -214,16 +213,13 @@ class TestRejection:
             ValidationRequest.from_json({"version": API_VERSION, "labels": [1]})
 
     def test_unknown_keys_such_as_jobs_are_ignored(self):
-        # clients written against the removed ``jobs`` knob still load
-        request = ValidationRequest.from_json(
-            {"version": API_VERSION, "data": "", "jobs": 4, "shards": 2})
-        assert request == ValidationRequest(shards=2)
-        assert "jobs" not in request.to_json()
-
-    def test_unknown_store_is_rejected_at_construction(self):
-        with pytest.raises(ServiceError) as exc:
-            ValidationRequest(store="sqlite")
-        assert exc.value.code == "bad-request"
+        # clients written against the removed ``jobs`` and ``store`` knobs
+        # still load
+        for key, value in (("jobs", 4), ("store", "columnar")):
+            request = ValidationRequest.from_json(
+                {"version": API_VERSION, "data": "", key: value, "shards": 2})
+            assert request == ValidationRequest(shards=2)
+            assert key not in request.to_json()
 
     def test_unknown_data_format_is_rejected(self):
         with pytest.raises(ServiceError):
@@ -248,9 +244,8 @@ class TestServiceStatsFormat:
     def _stats(self):
         return ServiceStats(
             generation=7,
-            store={"store": "columnar", "triples": 10, "segments": 2,
-                   "index_bytes": 640,
-                   "dictionary": {"decoded_terms": 5, "iris": 8}},
+            store={"store": "dict", "triples": 10,
+                   "cached_neighbourhoods": 2},
             journal={"tracked_subjects": 3, "records": 4, "overflows": 0,
                      "max_entries": 1024},
             prefilter={"accepts": 1, "rejects": 2, "reference_checks": 3,
@@ -263,9 +258,8 @@ class TestServiceStatsFormat:
 
     def test_line_prefixes_and_keys(self):
         rendered = self._stats().format_text()
-        assert "store-stats: store=columnar" in rendered
-        assert "segments=2" in rendered and "index_bytes=640" in rendered
-        assert "dictionary-stats: decoded_terms=5" in rendered
+        assert ("store-stats: store=dict triples=10 cached_neighbourhoods=2"
+                in rendered)
         assert "journal-stats: tracked_subjects=3" in rendered
         assert "prefilter-stats: accepts=1 rejects=2" in rendered
         assert "cache-stats: hits=5 misses=7 evictions=0" in rendered

@@ -179,6 +179,25 @@ class TestSignatureStats:
                 assert signature["misses"] == table.misses
 
 
+class TestSignatureCacheOption:
+    def test_sharded_session_honours_use_signature_cache_false(self):
+        """Neither the coordinator nor the shard replicas keep a signature
+        table when the session disables it."""
+        workload = generate_kb_workload(200, 4, seed=5)
+        session = ValidationSession(workload.graph, workload.schema,
+                                    shards=2, use_signature_cache=False)
+        try:
+            assert session.validator.signature_cache is None
+            session.validate()
+            stats = session.stats()
+        finally:
+            session.close()
+        assert stats.signature == {}
+        # the merged profile includes every worker's probes
+        assert stats.profile.get("signature_hits", 0) == 0
+        assert stats.profile.get("signature_misses", 0) == 0
+
+
 class TestShardedDeltaMachinery:
     def test_delta_is_incremental_not_a_rebuild(self):
         workload = community()
